@@ -143,12 +143,11 @@ func runFigure(f figures.Figure, scale float64, reps int, seed uint64, outdir st
 	if err != nil {
 		return err
 	}
-	var res *sim.Result
-	if parallel > 0 && f.Metric != figures.ExecutionTime {
-		res, err = sim.RunExperimentParallel(cfg, specs, parallel)
-	} else {
-		res, err = sim.RunExperiment(cfg, specs)
+	workers := parallel
+	if workers <= 0 || f.Metric == figures.ExecutionTime {
+		workers = 1
 	}
+	res, err := sim.RunExperiment(cfg, specs, workers)
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func main() {
 			},
 		},
 	}
-	res, err := sim.RunExperiment(cfg, specs)
+	res, err := sim.RunExperiment(cfg, specs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

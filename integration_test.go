@@ -66,7 +66,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			return core.NewOblivious(model)
 		}},
 	}
-	res, err := sim.RunExperimentParallel(cfg, specs, 4)
+	res, err := sim.RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

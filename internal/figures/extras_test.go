@@ -29,7 +29,7 @@ func TestExtRotorShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunExperimentParallel(cfg, specs, 4)
+	res, err := sim.RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExtAlphaMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunExperimentParallel(cfg, specs, 4)
+	res, err := sim.RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAllExtrasBuildAndRunTiny(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.RunExperimentParallel(cfg, specs, 4)
+			res, err := sim.RunExperiment(cfg, specs, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

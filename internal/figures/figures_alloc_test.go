@@ -25,7 +25,7 @@ func testFigureSteadyStateAllocs(t *testing.T, id string, maxAllocs float64) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := sim.RunExperiment(cfg, specs); err != nil {
+		if _, err := sim.RunExperiment(cfg, specs, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

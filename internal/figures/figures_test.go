@@ -54,7 +54,7 @@ func TestFig1aSmallScaleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunExperiment(cfg, specs)
+	res, err := sim.RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFig4cStaticBeatsOnlineOnIID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunExperiment(cfg, specs)
+	res, err := sim.RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,10 +275,7 @@ func New(opt Options) (*Server, error) {
 		stop: make(chan struct{}),
 	}
 	reg.Collect(s.collect)
-	recovered, err := s.recover()
-	if err != nil {
-		return nil, err
-	}
+	recovered := s.recover()
 	// The queue must hold every recovered job plus QueueDepth new ones —
 	// recovery must never be the thing that trips backpressure.
 	s.queue = make(chan *job, opt.QueueDepth+len(recovered))
@@ -295,9 +292,10 @@ func New(opt Options) (*Server, error) {
 
 // recover scans the store root and registers every existing store:
 // complete ones as done (cache hits), incomplete ones as queued.
-// queue.json, when present, fixes the order of the queued ones; stores it
-// does not mention (hard kill, manual drops) follow in directory order.
-func (s *Server) recover() ([]*job, error) {
+// queue.json, when present and readable, fixes the order of the queued
+// ones; stores it does not mention (hard kill, manual drops) follow in
+// directory order.
+func (s *Server) recover() []*job {
 	// Discover is best-effort: a corrupt store must not take the healthy
 	// ones (and the whole service) down with it — log and skip.
 	infos, err := report.Discover(s.opt.StoreRoot)
@@ -313,7 +311,10 @@ func (s *Server) recover() ([]*job, error) {
 	qPath := filepath.Join(s.opt.StoreRoot, queueFile)
 	if blob, err := os.ReadFile(qPath); err == nil {
 		if err := json.Unmarshal(blob, &order); err != nil {
-			return nil, fmt.Errorf("serve: corrupt %s: %w", qPath, err)
+			// queue.json is only an ordering hint (a crash can tear it);
+			// the stores are the truth, so fall back to directory order.
+			s.opt.Logf("serve: ignoring unreadable %s, re-enqueueing in directory order: %v", qPath, err)
+			order = nil
 		}
 		os.Remove(qPath) // consumed; from here the stores are the truth
 	}
@@ -382,7 +383,7 @@ func (s *Server) recover() ([]*job, error) {
 		recovered = append(recovered, j)
 		s.opt.Logf("serve: recovered job %.12s (%d/%d done)", h, j.done, j.total)
 	}
-	return recovered, nil
+	return recovered
 }
 
 // ErrQueueFull is returned by Submit when the pending queue is at

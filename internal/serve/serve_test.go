@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -336,6 +337,55 @@ func TestKillMidGridAndResume(t *testing.T) {
 	}
 }
 
+// TestTornQueueFileIsIgnored: queue.json is only an ordering hint, so a
+// torn one must not stop the service from starting. It is logged and
+// removed, and incomplete stores in the root are still re-enqueued.
+func TestTornQueueFileIsIgnored(t *testing.T) {
+	root := t.TempDir()
+	m, err := report.NewManifest("experiments serve", tinySpecs(), 4, report.Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := report.Create(report.DirForHash(root, m.SpecHash), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	qPath := filepath.Join(root, queueFile)
+	if err := os.WriteFile(qPath, []byte(`["abc`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	_, ts := newTestServer(t, Options{StoreRoot: root, GridWorkers: 1, CurvePoints: 4, Logf: logf})
+	if _, err := os.Stat(qPath); !os.IsNotExist(err) {
+		t.Fatalf("torn queue.json not removed: %v", err)
+	}
+	mu.Lock()
+	logged := strings.Contains(strings.Join(logs, "\n"), queueFile)
+	mu.Unlock()
+	if !logged {
+		t.Fatalf("torn queue.json not logged: %q", logs)
+	}
+	waitState(t, ts, m.SpecHash, StateDone)
+	code, got := fetch(t, ts, "/api/v1/jobs/"+m.SpecHash+"/summary.csv")
+	if code != http.StatusOK {
+		t.Fatalf("summary.csv: status %d", code)
+	}
+	if want := directSummary(t, tinySpecs(), 4); !bytes.Equal(got, want) {
+		t.Errorf("recovered summary.csv differs from a direct run:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // blockingStream is a trace.Stream whose Next blocks until release is
 // closed — it lets a test hold the service's worker inside a grid for as
 // long as it needs, with no timing assumptions. Requests are a
@@ -400,7 +450,8 @@ func TestBackpressure(t *testing.T) {
 	// Fill the queue.
 	filler := tinySpecs()
 	filler[0].Seed = 1001
-	if _, code := submit(t, ts, filler); code != http.StatusAccepted {
+	fill, code := submit(t, ts, filler)
+	if code != http.StatusAccepted {
 		t.Fatalf("filler submit: status %d", code)
 	}
 	// Overflow.
@@ -419,6 +470,7 @@ func TestBackpressure(t *testing.T) {
 	// and a fresh submission is accepted again.
 	free()
 	waitState(t, ts, first.ID, StateDone)
+	waitState(t, ts, fill.ID, StateDone)
 	if _, code := submit(t, ts, over); code != http.StatusAccepted {
 		t.Fatalf("submit after drain: status %d, want 202", code)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // ckEnv builds the fixtures for one checkpointed-replay test: a scenario
-// source, a fresh algorithm and reference outcome from plain runSourceInto.
+// source, a fresh algorithm and reference outcome from a plain replay.
 func ckEnv(t *testing.T, shards int) (ScenarioSpec, []int, RunResult) {
 	t.Helper()
 	spec := equivSpec("uniform", shards)
@@ -23,7 +23,7 @@ func ckEnv(t *testing.T, shards int) (ScenarioSpec, []int, RunResult) {
 		t.Fatal(err)
 	}
 	var ref RunResult
-	if err := runSourceInto(context.Background(), &ref, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), nil); err != nil {
+	if err := replay(context.Background(), &ref, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ckHooks{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return spec, checkpoints, ref
@@ -72,7 +72,7 @@ func TestCheckpointedReplayMatchesPlain(t *testing.T) {
 			drop:  func() { drops++ },
 		}
 		var res RunResult
-		if err := runSourceCheckpointed(context.Background(), &res, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err != nil {
+		if err := replay(context.Background(), &res, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err != nil {
 			t.Fatal(err)
 		}
 		sameSeries(t, &ref, &res)
@@ -117,7 +117,7 @@ func TestCheckpointedReplayResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var partial RunResult
-	if err := runSourceCheckpointed(ctx, &partial, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err == nil {
+	if err := replay(ctx, &partial, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err == nil {
 		t.Fatal("cancelled replay reported success")
 	}
 	if kept == nil {
@@ -140,7 +140,7 @@ func TestCheckpointedReplayResumes(t *testing.T) {
 		drop: func() { dropped = true },
 	}
 	var res RunResult
-	if err := runSourceCheckpointed(context.Background(), &res, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
+	if err := replay(context.Background(), &res, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !loaded || !dropped {
@@ -169,7 +169,7 @@ func TestCheckpointedReplayCorruptFallback(t *testing.T) {
 		save:  func(blob []byte) error { kept = append(kept[:0], blob...); return nil },
 	}
 	var res RunResult
-	if err := runSourceCheckpointed(context.Background(), &res, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err != nil {
+	if err := replay(context.Background(), &res, alg, src, equivAlpha, checkpoints, trace.NewChunk(512), ck, nil); err != nil {
 		t.Fatal(err)
 	}
 	if kept == nil {
@@ -192,7 +192,7 @@ func TestCheckpointedReplayCorruptFallback(t *testing.T) {
 		}
 		var got RunResult
 		ck2 := ckHooks{load: func() ([]byte, bool) { return bad, true }}
-		if err := runSourceCheckpointed(context.Background(), &got, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
+		if err := replay(context.Background(), &got, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
 			t.Fatalf("corrupt byte %d: replay failed: %v", pos, err)
 		}
 		sameSeries(t, &ref, &got)
@@ -210,7 +210,7 @@ func TestCheckpointedReplayCorruptFallback(t *testing.T) {
 		}
 		var got RunResult
 		ck2 := ckHooks{load: func() ([]byte, bool) { return kept[:cut], true }}
-		if err := runSourceCheckpointed(context.Background(), &got, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
+		if err := replay(context.Background(), &got, alg2, src2, equivAlpha, checkpoints, trace.NewChunk(512), ck2, nil); err != nil {
 			t.Fatalf("truncation to %d: replay failed: %v", cut, err)
 		}
 		sameSeries(t, &ref, &got)

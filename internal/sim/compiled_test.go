@@ -8,7 +8,7 @@ import (
 	"obm/internal/trace"
 )
 
-// RunCompiled must produce exactly the curves Run produces, both for
+// Compiled replay must produce exactly the curves Run produces, both for
 // algorithms with a ServeCompiled fast path (R-BMA, BMA) and for fallback
 // algorithms replayed through Serve (Batch).
 func TestRunCompiledMatchesRun(t *testing.T) {
@@ -50,8 +50,8 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := RunCompiled(a2, ct, model.Alpha, checkpoints)
-			if err != nil {
+			var compiled RunResult
+			if err := replayCompiled(&compiled, a2, ct, model.Alpha, checkpoints); err != nil {
 				t.Fatal(err)
 			}
 			if _, fast := core.Algorithm(a2).(core.CompiledServer); !fast && name != "batch" {
@@ -103,11 +103,11 @@ func TestRunExperimentParallelMatchesSequentialCompiled(t *testing.T) {
 			New:    func(b int, rep uint64) (core.Algorithm, error) { return core.NewBMA(n, b, model) },
 		},
 	}
-	seq, err := RunExperiment(cfg, specs)
+	seq, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunExperimentParallel(cfg, specs, 4)
+	par, err := RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,23 +4,24 @@
 // exactly these two quantities), averages repetitions, and renders results
 // as CSV and quick ASCII charts.
 //
-// The experiment runners compile the trace once (trace.Compiled: every
-// request pre-resolved to its dense PairID, endpoints and static distance)
-// and replay the compiled form through every algorithm, b value and
-// repetition, reusing one scratch result buffer per worker so repeated
-// replays allocate almost nothing. Replaying a compiled trace is
-// cost-identical to replaying the raw trace: algorithms that implement
-// core.CompiledServer take the dense fast path, everything else falls back
-// to Serve(u, v).
+// The experiment runner, RunExperiment, compiles the trace once
+// (trace.Compiled: every request pre-resolved to its dense PairID,
+// endpoints and static distance) and replays the compiled form through
+// every algorithm, b value and repetition on a worker pool, reusing one
+// result buffer per worker so repeated replays allocate almost nothing.
+// Replaying a compiled trace is cost-identical to replaying the raw trace
+// (Run): algorithms that implement core.CompiledServer take the dense fast
+// path, everything else falls back to Serve(u, v).
 //
 // Replay also runs streamed: RunSource consumes a trace.Source in
 // fixed-size chunks, so arbitrarily long workloads replay under O(chunk)
-// memory with cost curves bit-identical to the materialized path. On top
-// sits the scenario-grid scheduler (ScenarioSpec, RunGrid): named,
-// JSON-encodable scenario specs expanded into a (scenario × algorithm ×
-// b × rep) job grid, executed by a worker pool where every job owns its
-// streaming source, with repetitions aggregated into stats.Summary rows
-// and CSV/JSON output.
+// memory. Materialized and streamed replays feed the same sequential loop
+// (replayer), so their cost curves are bit-identical. On top sits the
+// scenario-grid scheduler (ScenarioSpec, RunGrid): named, JSON-encodable
+// scenario specs expanded into a (scenario × algorithm × b × rep) job
+// grid, executed by a worker pool where every job owns its streaming
+// source, with repetitions aggregated into stats.Summary rows and
+// CSV/JSON output.
 //
 // Grid execution is durable-by-hook: PlanGrid exposes the deterministic
 // job expansion, and GridOptions' Lookup/Persist/Shard hooks let a run
@@ -98,11 +99,10 @@ func validateCheckpoints(checkpoints []int, traceLen int) error {
 }
 
 // costMeter samples an Incremental's cumulative totals at checkpoints:
-// the replay loops feed requests through the embedded stepper (the same
+// the replays feed requests through the embedded stepper (the same
 // accumulation path the live engine runs) and the meter appends series
-// points. nextCP is the upcoming checkpoint (or -1), kept denormalized so
-// the replay loops pay one integer compare per request instead of a
-// method call.
+// points. nextCP is the upcoming checkpoint (or -1), kept denormalized:
+// Run compares it once per request, the replayer cuts its chunks at it.
 type costMeter struct {
 	res         *RunResult
 	inc         Incremental
@@ -143,23 +143,17 @@ func (c *costMeter) finish() {
 // Run replays tr through alg, recording cumulative costs at the given
 // checkpoints (request counts, ascending). Elapsed time covers only the
 // Serve loop, mirroring the paper's sequential execution-time measurement.
+// It is the raw Serve(u, v) reference the compiled replay is pinned to.
 func Run(alg core.Algorithm, tr *trace.Trace, alpha float64, checkpoints []int) (RunResult, error) {
-	var res RunResult
-	if err := runInto(&res, alg, tr, alpha, checkpoints); err != nil {
+	if err := tr.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	return res, nil
-}
-
-func runInto(res *RunResult, alg core.Algorithm, tr *trace.Trace, alpha float64, checkpoints []int) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
 	if err := validateCheckpoints(checkpoints, tr.Len()); err != nil {
-		return err
+		return RunResult{}, err
 	}
+	var res RunResult
 	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
+	m := newCostMeter(&res, checkpoints, alg, alpha)
 	start := time.Now()
 	for i, req := range tr.Reqs {
 		m.inc.FeedRaw(int(req.Src), int(req.Dst))
@@ -170,124 +164,140 @@ func runInto(res *RunResult, alg core.Algorithm, tr *trace.Trace, alpha float64,
 	res.Elapsed = time.Since(start)
 	m.finish()
 	res.FinalMatchingSize = alg.MatchingSize()
-	return nil
-}
-
-// RunCompiled is Run over a pre-compiled trace: algorithms implementing
-// core.CompiledServer replay without per-request canonicalization or metric
-// lookups. Cost curves are identical to Run on the source trace.
-func RunCompiled(alg core.Algorithm, ct *trace.Compiled, alpha float64, checkpoints []int) (RunResult, error) {
-	var res RunResult
-	if err := runCompiledInto(&res, alg, ct, alpha, checkpoints); err != nil {
-		return RunResult{}, err
-	}
 	return res, nil
 }
 
-// runCompiledInto is RunCompiled writing into a reusable result buffer: the
-// series slices are truncated and re-appended, so a result recycled across
-// repetitions stops allocating once warm.
-func runCompiledInto(res *RunResult, alg core.Algorithm, ct *trace.Compiled, alpha float64, checkpoints []int) error {
-	if err := validateCheckpoints(checkpoints, ct.Len()); err != nil {
+// replayer is the sequential replay of compiled requests: begin, then
+// feed the trace in order (in one call or chunk by chunk), then finish.
+// Materialized and streamed replays, with or without mid-job checkpoints,
+// all run through it, and it serves every request through
+// Incremental.FeedChunk (the loop the live engine runs too), so they
+// produce bit-identical curves. The result buffer is truncated and
+// re-appended, so a result recycled across repetitions stops allocating
+// once warm.
+type replayer struct {
+	m       costMeter
+	ck      ckHooks
+	met     *Metrics
+	total   int           // requests the trace declares
+	pos     int           // requests consumed so far, fed or skipped
+	start   int           // resumed prefix: requests below it are skipped
+	fed     int           // requests fed since the last checkpoint save
+	saving  bool          // checkpoints are saved every ck.every requests
+	elapsed time.Duration // decision-loop time, resumed prefix included
+}
+
+// begin validates the checkpoints against a trace of total requests,
+// resets res for alg and, when ck.load yields a valid checkpoint blob,
+// resumes from it. Anything wrong with the blob silently degrades to a
+// fresh replay: a checkpoint is an optimization, never a failure.
+func (r *replayer) begin(res *RunResult, alg core.Algorithm, alpha float64, checkpoints []int, total int) error {
+	if err := validateCheckpoints(checkpoints, total); err != nil {
 		return err
 	}
 	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
-	start := time.Now()
-	for i, req := range ct.Reqs {
-		m.inc.Feed(req)
-		if i+1 == m.nextCP {
-			m.checkpoint(i)
-		}
+	r.m = newCostMeter(res, checkpoints, alg, alpha)
+	r.total = total
+	r.saving = r.ck.every > 0 && r.ck.save != nil
+	if r.ck.load == nil {
+		return nil
 	}
-	res.Elapsed = time.Since(start)
-	m.finish()
-	res.FinalMatchingSize = alg.MatchingSize()
+	lt := time.Now()
+	blob, ok := r.ck.load()
+	if !ok {
+		return nil
+	}
+	pos, elapsed, err := loadReplayCheckpoint(blob, &r.m, total)
+	r.met.loadTimed(time.Since(lt))
+	if err != nil {
+		// The load may have partially mutated the algorithm and the
+		// series buffers, so rebuild both from scratch.
+		alg.Reset()
+		res.reset(alg.Name())
+		r.m = newCostMeter(res, checkpoints, alg, alpha)
+		return nil
+	}
+	r.start, r.elapsed = pos, elapsed
 	return nil
 }
 
-// Averaged is the mean of several runs of the same configuration with
-// different seeds (the paper averages 5 repetitions).
-type Averaged struct {
-	Label    string
-	X        []int
-	Routing  []float64 // mean cumulative routing cost
-	Reconfig []float64
-	Elapsed  time.Duration // mean wall-clock time
-	Reps     int
-}
-
-// AlgFactory builds a fresh algorithm instance for repetition rep.
-// Deterministic algorithms can ignore rep.
-type AlgFactory func(rep uint64) (core.Algorithm, error)
-
-// scratch carries the per-worker reusable buffers of the experiment
-// runners: one run result recycled across every repetition the worker
-// executes.
-type scratch struct {
-	res RunResult
-}
-
-// runAveraged accumulates reps runs produced by replay into a mean curve.
-func runAveraged(f AlgFactory, reps int, sc *scratch,
-	replay func(res *RunResult, alg core.Algorithm) error) (Averaged, error) {
-	if reps < 1 {
-		return Averaged{}, fmt.Errorf("sim: reps must be >= 1")
+// feed serves the next len(reqs) requests of the trace. Requests inside a
+// resumed prefix are skipped; the rest are served in segments that end at
+// cost-curve points, which are sampled there; and a checkpoint is saved
+// once at least ck.every requests were fed since the last one. Only the
+// decision loop is timed.
+func (r *replayer) feed(reqs []trace.CompiledReq) error {
+	n := len(reqs)
+	if r.pos+n <= r.start {
+		r.pos += n
+		return nil
 	}
-	if sc == nil {
-		sc = &scratch{}
+	skip := max(r.start-r.pos, 0)
+	i, rest := r.pos+skip, reqs[skip:]
+	t0 := time.Now()
+	for len(rest) > 0 {
+		// Serve up to the next curve point, then sample it.
+		k := len(rest)
+		if cp := r.m.nextCP; cp > i && cp-i < k {
+			k = cp - i
+		}
+		r.m.inc.FeedChunk(rest[:k])
+		i += k
+		rest = rest[k:]
+		if i == r.m.nextCP {
+			r.m.checkpoint(i - 1)
+		}
 	}
-	var avg Averaged
-	avg.Reps = reps
-	var totalElapsed time.Duration
-	for rep := 0; rep < reps; rep++ {
-		alg, err := f(uint64(rep))
-		if err != nil {
-			return Averaged{}, err
-		}
-		if err := replay(&sc.res, alg); err != nil {
-			return Averaged{}, err
-		}
-		res := &sc.res
-		if rep == 0 {
-			avg.Label = res.Series.Label
-			avg.X = append([]int(nil), res.Series.X...)
-			avg.Routing = make([]float64, len(res.Series.Routing))
-			avg.Reconfig = make([]float64, len(res.Series.Reconfig))
-		}
-		for i := range res.Series.Routing {
-			avg.Routing[i] += res.Series.Routing[i]
-			avg.Reconfig[i] += res.Series.Reconfig[i]
-		}
-		totalElapsed += res.Elapsed
+	r.elapsed += time.Since(t0)
+	r.pos += n
+	r.fed += n - skip
+	r.met.chunkFed(n - skip)
+	if !r.saving || r.fed < r.ck.every {
+		return nil
 	}
-	for i := range avg.Routing {
-		avg.Routing[i] /= float64(reps)
-		avg.Reconfig[i] /= float64(reps)
+	r.fed = 0
+	st := time.Now()
+	blob, err := saveReplayCheckpoint(&r.m, r.pos, r.elapsed)
+	if err != nil {
+		// The algorithm cannot snapshot (ablation variants): finish the
+		// job without checkpoints rather than fail a computable outcome.
+		r.saving = false
+		return nil
 	}
-	avg.Elapsed = totalElapsed / time.Duration(reps)
-	return avg, nil
+	if err := r.ck.save(blob); err != nil {
+		return fmt.Errorf("sim: saving checkpoint at %d requests: %w", r.pos, err)
+	}
+	r.met.saveTimed(time.Since(st))
+	return nil
 }
 
-// RunAveraged replays tr through reps independent instances and averages
-// the curves.
-func RunAveraged(f AlgFactory, tr *trace.Trace, alpha float64, checkpoints []int, reps int) (Averaged, error) {
-	return runAveraged(f, reps, nil, func(res *RunResult, alg core.Algorithm) error {
-		return runInto(res, alg, tr, alpha, checkpoints)
-	})
+// finish checks that the trace delivered the requests it declared, folds
+// the totals into the result and drops the job's checkpoint.
+func (r *replayer) finish(name string) error {
+	if r.pos != r.total {
+		return fmt.Errorf("sim: source %q produced %d requests, declared %d", name, r.pos, r.total)
+	}
+	res := r.m.res
+	res.Elapsed = r.elapsed
+	r.m.finish()
+	res.FinalMatchingSize = r.m.inc.alg.MatchingSize()
+	if r.ck.drop != nil {
+		r.ck.drop()
+	}
+	return nil
 }
 
-// RunAveragedCompiled replays a compiled trace through reps independent
-// instances and averages the curves.
-func RunAveragedCompiled(f AlgFactory, ct *trace.Compiled, alpha float64, checkpoints []int, reps int) (Averaged, error) {
-	return runAveragedCompiled(f, ct, alpha, checkpoints, reps, nil)
-}
-
-// runAveragedCompiled is RunAveragedCompiled with a per-worker scratch: the
-// experiment runners pass one per worker so repetitions reuse the run
-// buffer.
-func runAveragedCompiled(f AlgFactory, ct *trace.Compiled, alpha float64, checkpoints []int, reps int, sc *scratch) (Averaged, error) {
-	return runAveraged(f, reps, sc, func(res *RunResult, alg core.Algorithm) error {
-		return runCompiledInto(res, alg, ct, alpha, checkpoints)
-	})
+// replayCompiled replays a materialized compiled trace into res: one feed
+// over the whole trace. Algorithms implementing core.CompiledServer skip
+// per-request canonicalization and metric lookups; curves are identical
+// to Run on the source trace.
+func replayCompiled(res *RunResult, alg core.Algorithm, ct *trace.Compiled, alpha float64, checkpoints []int) error {
+	var r replayer
+	if err := r.begin(res, alg, alpha, checkpoints, ct.Len()); err != nil {
+		return err
+	}
+	if err := r.feed(ct.Reqs); err != nil {
+		return err
+	}
+	return r.finish(ct.Name)
 }

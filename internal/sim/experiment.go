@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,31 +75,103 @@ func (cfg *Config) compile() (*trace.Compiled, error) {
 	return ct, nil
 }
 
+// Averaged is the mean of several runs of the same configuration with
+// different seeds (the paper averages 5 repetitions).
+type Averaged struct {
+	Label    string
+	X        []int
+	Routing  []float64 // mean cumulative routing cost
+	Reconfig []float64
+	Elapsed  time.Duration // mean wall-clock time
+	Reps     int
+}
+
 // RunExperiment executes cfg for each algorithm spec and each b. The trace
-// is compiled once and replayed through a single scratch buffer, so the
-// per-run cost is the decision loops themselves.
-func RunExperiment(cfg Config, specs []AlgSpec) (*Result, error) {
+// is compiled once; the (algorithm, b) jobs run on a pool of workers
+// (<= 0 selects GOMAXPROCS), each replaying through its own reused result
+// buffer, so the per-run cost is the decision loops themselves. Cost
+// curves are bit-identical for every worker count (each job owns its
+// algorithm instances and seeds), but wall-clock Elapsed values inflate
+// under CPU contention: execution-time figures run with one worker, which
+// replays on the caller's goroutine. On failure every job error is
+// reported, joined in job order.
+func RunExperiment(cfg Config, specs []AlgSpec, workers int) (*Result, error) {
 	ct, err := cfg.compile()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: cfg.Name}
-	var sc scratch
+	type job struct {
+		spec AlgSpec
+		b    int
+	}
+	var jobs []job
 	for _, spec := range specs {
 		bs := cfg.Bs
 		if spec.FixedB >= 0 {
 			bs = []int{spec.FixedB}
 		}
 		for _, b := range bs {
-			f := func(rep uint64) (core.Algorithm, error) { return spec.New(b, rep) }
-			avg, err := runAveragedCompiled(f, ct, cfg.Model.Alpha, cfg.Checkpoints, cfg.Reps, &sc)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s/%s(b=%d): %w", cfg.Name, spec.Name, b, err)
-			}
-			res.Curves = append(res.Curves, Curve{Alg: spec.Name, B: b, Avg: avg})
+			jobs = append(jobs, job{spec: spec, b: b})
 		}
 	}
-	return res, nil
+	curves := make([]Curve, len(jobs))
+	err = runPool(context.Background(), len(jobs), workers, func() func(int) error {
+		var res RunResult // per-worker: reused across every job and repetition
+		return func(ji int) error {
+			j := jobs[ji]
+			f := func(rep uint64) (core.Algorithm, error) { return j.spec.New(j.b, rep) }
+			avg, err := runAveraged(f, cfg.Reps, &res, func(res *RunResult, alg core.Algorithm) error {
+				return replayCompiled(res, alg, ct, cfg.Model.Alpha, cfg.Checkpoints)
+			})
+			if err != nil {
+				return fmt.Errorf("sim: %s/%s(b=%d): %w", cfg.Name, j.spec.Name, j.b, err)
+			}
+			curves[ji] = Curve{Alg: j.spec.Name, B: j.b, Avg: avg}
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Name: cfg.Name, Curves: curves}, nil
+}
+
+// AlgFactory builds a fresh algorithm instance for repetition rep.
+// Deterministic algorithms can ignore rep.
+type AlgFactory func(rep uint64) (core.Algorithm, error)
+
+// runAveraged accumulates reps (>= 1) runs produced by replay into a mean
+// curve, recycling res as every repetition's result buffer.
+func runAveraged(f AlgFactory, reps int, res *RunResult,
+	replay func(res *RunResult, alg core.Algorithm) error) (Averaged, error) {
+	avg := Averaged{Reps: reps}
+	var totalElapsed time.Duration
+	for rep := 0; rep < reps; rep++ {
+		alg, err := f(uint64(rep))
+		if err != nil {
+			return Averaged{}, err
+		}
+		if err := replay(res, alg); err != nil {
+			return Averaged{}, err
+		}
+		if rep == 0 {
+			avg.Label = res.Series.Label
+			avg.X = append([]int(nil), res.Series.X...)
+			avg.Routing = make([]float64, len(res.Series.Routing))
+			avg.Reconfig = make([]float64, len(res.Series.Reconfig))
+		}
+		for i := range res.Series.Routing {
+			avg.Routing[i] += res.Series.Routing[i]
+			avg.Reconfig[i] += res.Series.Reconfig[i]
+		}
+		totalElapsed += res.Elapsed
+	}
+	for i := range avg.Routing {
+		avg.Routing[i] /= float64(reps)
+		avg.Reconfig[i] /= float64(reps)
+	}
+	avg.Elapsed = totalElapsed / time.Duration(reps)
+	return avg, nil
 }
 
 // WriteJSON emits the experiment result as JSON (one object with the

@@ -2,7 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
+
+	"obm/internal/trace"
 )
 
 // fuzzSpec is the fixed scenario every FuzzRestore iteration restores
@@ -112,6 +116,84 @@ func FuzzRestoreSharded(f *testing.F) {
 		var out bytes.Buffer
 		if err := in.Snapshot(&out); err != nil {
 			t.Fatalf("restored instance cannot re-snapshot: %v", err)
+		}
+	})
+}
+
+// fuzzCheckpoints is the curve schedule every FuzzReplayCheckpoint replay
+// records.
+func fuzzCheckpoints(spec ScenarioSpec) []int { return Checkpoints(spec.Requests, 5) }
+
+// fuzzReplay replays spec's r-bma job from scratch in 256-request chunks,
+// with ck as the checkpoint hooks.
+func fuzzReplay(spec ScenarioSpec, ck ckHooks) (RunResult, error) {
+	var res RunResult
+	alg, err := spec.BuildAlgorithm("r-bma", 2, 3)
+	if err != nil {
+		return res, err
+	}
+	src, err := spec.NewSource()
+	if err != nil {
+		return res, err
+	}
+	err = replay(context.Background(), &res, alg, src, spec.Alpha, fuzzCheckpoints(spec), trace.NewChunk(256), ck, nil)
+	return res, err
+}
+
+// fuzzCheckpointBlob returns a real replay-checkpoint blob of spec's job:
+// the first one saved at or after request at, or, for at == 0, one frozen
+// before the first request.
+func fuzzCheckpointBlob(f *testing.F, spec ScenarioSpec, at int) []byte {
+	f.Helper()
+	if at == 0 {
+		alg, err := spec.BuildAlgorithm("r-bma", 2, 3)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var res RunResult
+		m := newCostMeter(&res, fuzzCheckpoints(spec), alg, spec.Alpha)
+		blob, err := saveReplayCheckpoint(&m, 0, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	var blob []byte
+	_, err := fuzzReplay(spec, ckHooks{every: at, save: func(b []byte) error {
+		if blob == nil {
+			blob = append([]byte(nil), b...)
+		}
+		return nil
+	}})
+	if err != nil || blob == nil {
+		f.Fatalf("no checkpoint saved at %d: %v", at, err)
+	}
+	return blob
+}
+
+// FuzzReplayCheckpoint feeds arbitrary bytes to a checkpointed replay as
+// the resume blob, the way a run store hands back a file read from disk.
+// A checkpoint is only an optimization, so whatever the bytes hold the
+// replay must neither panic nor fail, and it must always yield a curve
+// sampled exactly at the checkpoint schedule.
+func FuzzReplayCheckpoint(f *testing.F) {
+	f.Add(fuzzCheckpointBlob(f, fuzzSpec(1), 0))
+	f.Add(fuzzCheckpointBlob(f, fuzzSpec(1), 900))
+	f.Add(fuzzCheckpointBlob(f, fuzzSpec(4), 0))
+	f.Add(fuzzCheckpointBlob(f, fuzzSpec(4), 1300))
+	f.Add([]byte("OBMC"))
+	f.Add([]byte{})
+
+	specs := []ScenarioSpec{fuzzSpec(1), fuzzSpec(4)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, spec := range specs {
+			res, err := fuzzReplay(spec, ckHooks{load: func() ([]byte, bool) { return data, true }})
+			if err != nil {
+				t.Fatalf("replay failed on a checkpoint blob: %v", err)
+			}
+			if want := fuzzCheckpoints(spec); !reflect.DeepEqual(res.Series.X, want) {
+				t.Fatalf("curve sampled at %v, want %v", res.Series.X, want)
+			}
 		}
 	})
 }

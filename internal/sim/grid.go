@@ -464,9 +464,8 @@ func runGridJob(ctx context.Context, spec ScenarioSpec, model core.CostModel, as
 			return nil
 		}
 	}
-	ck := ckHooks{}
-	if opt.CheckpointEvery > 0 && opt.SaveCheckpoint != nil {
-		ck.every = opt.CheckpointEvery
+	ck := ckHooks{every: opt.CheckpointEvery}
+	if opt.SaveCheckpoint != nil {
 		ck.save = func(blob []byte) error { return opt.SaveCheckpoint(j, blob) }
 	}
 	if opt.LoadCheckpoint != nil {
@@ -475,10 +474,7 @@ func runGridJob(ctx context.Context, spec ScenarioSpec, model core.CostModel, as
 	if opt.DropCheckpoint != nil {
 		ck.drop = func() { opt.DropCheckpoint(j) }
 	}
-	if ck.enabled() {
-		return runSourceCheckpointed(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, ck, opt.Metrics)
-	}
-	return runSourceInto(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, opt.Metrics)
+	return replay(ctx, res, alg, src, spec.Alpha, checkpoints, chunk, ck, opt.Metrics)
 }
 
 // WriteCSV emits the grid result as tidy CSV, one row per aggregated cell.

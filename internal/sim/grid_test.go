@@ -246,7 +246,7 @@ func TestRunExperimentParallelJoinsAllErrors(t *testing.T) {
 		Name: "errs", Trace: tr, Model: model,
 		Bs: []int{2, 3, 4}, Reps: 1, Checkpoints: Checkpoints(tr.Len(), 2),
 	}
-	_, err := RunExperimentParallel(cfg, []AlgSpec{failingSpec()}, 2)
+	_, err := RunExperiment(cfg, []AlgSpec{failingSpec()}, 2)
 	if err == nil {
 		t.Fatal("expected failure")
 	}

@@ -8,8 +8,8 @@ import (
 // The incremental step surface: feed compiled requests to one algorithm
 // instance, one request or one chunk at a time, and observe cumulative
 // costs and matching deltas as they accrue. This is the single code path
-// under every consumer of an algorithm — the replay loops in this package
-// (Run/RunCompiled/RunSource through costMeter), the benchmarks, and the
+// under every consumer of an algorithm — the replays in this package
+// (Run and the replayer through costMeter), the benchmarks, and the
 // live matching engine (internal/engine), which ingests an unbounded
 // request stream and reports cumulative costs after every batch.
 //

@@ -85,7 +85,11 @@ func TestRunAveragedAveragesOverSeeds(t *testing.T) {
 	f := func(rep uint64) (core.Algorithm, error) {
 		return core.NewRBMA(10, 3, model, rep)
 	}
-	avg, err := RunAveraged(f, tr, model.Alpha, Checkpoints(tr.Len(), 5), 3)
+	avg, err := runAveraged(f, 3, &RunResult{}, func(res *RunResult, alg core.Algorithm) error {
+		r, err := Run(alg, tr, model.Alpha, Checkpoints(tr.Len(), 5))
+		*res = r
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestRunExperimentAndCSV(t *testing.T) {
 			},
 		},
 	}
-	res, err := RunExperiment(cfg, specs)
+	res, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestWriteJSON(t *testing.T) {
 			return core.NewRBMA(10, b, model, rep)
 		},
 	}}
-	res, err := RunExperiment(cfg, specs)
+	res, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +194,10 @@ func TestWriteJSON(t *testing.T) {
 
 func TestRunExperimentValidation(t *testing.T) {
 	model, tr := testSetup(10)
-	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil); err == nil {
+	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil, 1); err == nil {
 		t.Fatal("Reps=0 accepted")
 	}
-	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil); err == nil {
+	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil, 1); err == nil {
 		t.Fatal("empty b sweep accepted")
 	}
 }
@@ -211,7 +215,7 @@ func TestASCIIChartRenders(t *testing.T) {
 			return core.NewRBMA(10, b, model, rep)
 		},
 	}}
-	res, err := RunExperiment(cfg, specs)
+	res, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

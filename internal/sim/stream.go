@@ -2,54 +2,45 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"time"
 
 	"obm/internal/core"
 	"obm/internal/trace"
 )
 
-// Streamed replay: the chunked twin of the materialized replay loops in
-// engine.go. A trace.Source delivers compiled requests in fixed-size
-// chunks, so a replay of any length holds O(chunk) requests in memory; the
-// per-request decision loop is byte-for-byte the one RunCompiled runs, so
-// cost curves are bit-identical to materialized replay (pinned by
-// stream_golden_test.go).
+// Streamed replay: a trace.Source delivers compiled requests in
+// fixed-size chunks, so a replay of any length holds O(chunk) requests in
+// memory. Each chunk goes through the replayer, which a materialized
+// replay feeds the whole trace at once, so cost curves are bit-identical
+// to materialized replay (pinned by stream_golden_test.go).
 
 // RunSource replays src through alg in chunks of chunkSize requests
 // (trace.DefaultChunkSize if <= 0), resetting the source first. Cost
-// curves are bit-identical to RunCompiled over the materialized trace.
+// curves are bit-identical to replaying the materialized compiled trace.
 func RunSource(alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunkSize int) (RunResult, error) {
 	var res RunResult
-	if err := runSourceInto(context.Background(), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), nil); err != nil {
+	if err := replay(context.Background(), &res, alg, src, alpha, checkpoints, trace.NewChunk(chunkSize), ckHooks{}, nil); err != nil {
 		return RunResult{}, err
 	}
 	return res, nil
 }
 
-// runSourceInto is RunSource writing into reusable result and chunk
-// buffers: a (result, chunk) pair recycled across repetitions stops
-// allocating once warm, which is what keeps streamed replay O(chunk).
-// Cancellation is honored at chunk boundaries — a cancelled ctx aborts
-// the replay within one chunk's worth of requests, never mid-chunk, so
-// costs are either complete or discarded (a partial replay is an error,
-// not a shorter curve).
-func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, met *Metrics) error {
-	if err := validateCheckpoints(checkpoints, src.Len()); err != nil {
+// replay is RunSource writing into reusable result and chunk buffers, with
+// optional mid-job checkpoints (see ckHooks): a (result, chunk) pair
+// recycled across repetitions stops allocating once warm, which is what
+// keeps streamed replay O(chunk). Cancellation is honored at chunk
+// boundaries — a cancelled ctx aborts the replay within one chunk's worth
+// of requests, never mid-chunk, so costs are either complete or discarded
+// (a partial replay is an error, not a shorter curve). Elapsed covers the
+// decision loop only: generation and chunk compilation inside src.Next are
+// excluded, so it matches materialized replay and stays comparable to the
+// paper's execution-time figures.
+func replay(ctx context.Context, res *RunResult, alg core.Algorithm, src trace.Source, alpha float64, checkpoints []int, chunk *trace.CompiledChunk, ck ckHooks, met *Metrics) error {
+	r := replayer{ck: ck, met: met}
+	if err := r.begin(res, alg, alpha, checkpoints, src.Len()); err != nil {
 		return err
 	}
 	src.Reset()
-	res.reset(alg.Name())
-	m := newCostMeter(res, checkpoints, alg, alpha)
-	i := 0
-	// Elapsed covers the decision loops only — generation and chunk
-	// compilation inside src.Next are excluded, so the measurement matches
-	// the materialized path (which times the Serve loop over a
-	// pre-compiled trace) and stays comparable to the paper's
-	// execution-time figures. The two clock reads per chunk are noise
-	// against thousands of Serve calls.
-	var elapsed time.Duration
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -61,31 +52,9 @@ func runSourceInto(ctx context.Context, res *RunResult, alg core.Algorithm, src 
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		for _, req := range chunk.Reqs[:n] {
-			m.inc.Feed(req)
-			if i+1 == m.nextCP {
-				m.checkpoint(i)
-			}
-			i++
+		if err := r.feed(chunk.Reqs[:n]); err != nil {
+			return err
 		}
-		elapsed += time.Since(start)
-		met.chunkFed(n)
 	}
-	res.Elapsed = elapsed
-	if i != src.Len() {
-		return fmt.Errorf("sim: source %q produced %d requests, declared %d", src.Name(), i, src.Len())
-	}
-	m.finish()
-	res.FinalMatchingSize = alg.MatchingSize()
-	return nil
-}
-
-// RunAveragedSource replays src through reps independent algorithm
-// instances (resetting the source per repetition) and averages the curves.
-func RunAveragedSource(f AlgFactory, src trace.Source, alpha float64, checkpoints []int, reps, chunkSize int) (Averaged, error) {
-	chunk := trace.NewChunk(chunkSize)
-	return runAveraged(f, reps, nil, func(res *RunResult, alg core.Algorithm) error {
-		return runSourceInto(context.Background(), res, alg, src, alpha, checkpoints, chunk, nil)
-	})
+	return r.finish(src.Name())
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // The streamed-replay golden suite: chunked Source replay must yield
-// bit-identical cost curves to the PR 1 materialized path (RunCompiled) on
+// bit-identical cost curves to the materialized path (replayCompiled) on
 // every golden trace family, for every chunk size, through both the
 // generator-backed streaming source and the materialized adapter. Together
 // with core's golden table (which pins the materialized path to the seed
@@ -106,8 +107,8 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 			}
 			cps := Checkpoints(mat.Len(), 8)
 			for _, algName := range []string{"rbma", "bma"} {
-				want, err := RunCompiled(newAlg(algName, n, model), ct, model.Alpha, cps)
-				if err != nil {
+				var want RunResult
+				if err := replayCompiled(&want, newAlg(algName, n, model), ct, model.Alpha, cps); err != nil {
 					t.Fatal(err)
 				}
 				for _, chunkSize := range []int{1, 997, 8192, mat.Len() + 1} {
@@ -160,7 +161,9 @@ func TestRunAveragedSourceMatchesCompiled(t *testing.T) {
 		return core.NewRBMA(20, 4, model, rep)
 	}
 	cps := Checkpoints(mat.Len(), 5)
-	want, err := RunAveragedCompiled(f, ct, model.Alpha, cps, 3)
+	want, err := runAveraged(f, 3, &RunResult{}, func(res *RunResult, alg core.Algorithm) error {
+		return replayCompiled(res, alg, ct, model.Alpha, cps)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,10 @@ func TestRunAveragedSourceMatchesCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAveragedSource(f, src, model.Alpha, cps, 3, 4096)
+	chunk := trace.NewChunk(4096)
+	got, err := runAveraged(f, 3, &RunResult{}, func(res *RunResult, alg core.Algorithm) error {
+		return replay(context.Background(), res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,12 +84,12 @@ func TestStreamedReplayAllocsIndependentOfLength(t *testing.T) {
 		var res RunResult
 		cps := Checkpoints(count, 4)
 		// Warm pass: grows the scratch buffers once.
-		if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, cps, chunk, nil); err != nil {
+		if err := replay(context.Background(), &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		alg.Reset()
 		return measureAlloc(func() {
-			if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, cps, chunk, nil); err != nil {
+			if err := replay(context.Background(), &res, alg, src, model.Alpha, cps, chunk, ckHooks{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,7 +153,7 @@ func TestStreamHundredMillionRequests(t *testing.T) {
 			}
 		}
 	}()
-	if err := runSourceInto(context.Background(), &res, alg, src, model.Alpha, Checkpoints(huge, 4), chunk, nil); err != nil {
+	if err := replay(context.Background(), &res, alg, src, model.Alpha, Checkpoints(huge, 4), chunk, ckHooks{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	close(done)

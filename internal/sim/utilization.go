@@ -42,16 +42,12 @@ func RunWithUtilization(alg core.Algorithm, tr *trace.Trace, alpha float64, top 
 	oracle := top.Paths()
 	loads := make(map[[2]int]float64)
 	matched := 0
-	res := RunResult{Series: Series{Label: alg.Name()}}
-	var routing, reconfig float64
+	var in Incremental
+	in.Init(alg, alpha)
 	for _, req := range tr.Reqs {
 		u, v := int(req.Src), int(req.Dst)
 		wasMatched := alg.Matched(u, v)
-		st := alg.Serve(u, v)
-		routing += st.RoutingCost
-		reconfig += st.ReconfigCost(alpha)
-		res.Adds += st.Adds
-		res.Removals += st.Removals
+		in.FeedRaw(u, v)
 		if wasMatched {
 			matched++
 			continue
@@ -63,10 +59,18 @@ func RunWithUtilization(alg core.Algorithm, tr *trace.Trace, alpha float64, top 
 			loads[[2]int{a, b}]++
 		})
 	}
-	res.Series.X = []int{tr.Len()}
-	res.Series.Routing = []float64{routing}
-	res.Series.Reconfig = []float64{reconfig}
-	res.FinalMatchingSize = alg.MatchingSize()
+	c := in.Counters()
+	res := RunResult{
+		Series: Series{
+			Label:    alg.Name(),
+			X:        []int{tr.Len()},
+			Routing:  []float64{c.Routing},
+			Reconfig: []float64{c.Reconfig},
+		},
+		Adds:              c.Adds,
+		Removals:          c.Removals,
+		FinalMatchingSize: alg.MatchingSize(),
+	}
 
 	var util Utilization
 	util.StaticLinkLoads = loads

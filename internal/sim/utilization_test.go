@@ -93,11 +93,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			},
 		},
 	}
-	seq, err := RunExperiment(cfg, specs)
+	seq, err := RunExperiment(cfg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunExperimentParallel(cfg, specs, 4)
+	par, err := RunExperiment(cfg, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	model, tr := testSetup(10)
-	if _, err := RunExperimentParallel(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil, 2); err == nil {
+	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Bs: []int{2}}, nil, 2); err == nil {
 		t.Fatal("Reps=0 accepted")
 	}
-	if _, err := RunExperimentParallel(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil, 2); err == nil {
+	if _, err := RunExperiment(Config{Name: "x", Trace: tr, Model: model, Reps: 1}, nil, 2); err == nil {
 		t.Fatal("empty b sweep accepted")
 	}
 }
