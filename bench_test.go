@@ -547,8 +547,11 @@ func BenchmarkFlowSimulation(b *testing.B) {
 	})
 }
 
+// BenchmarkMetricConstruction times the cold fat-tree metric build (one
+// BFS per rack) and, as "shared", the graph.FatTreeMetric cache hit that
+// replaces it on every grid, lease and engine session after the first.
 func BenchmarkMetricConstruction(b *testing.B) {
-	for _, racks := range []int{50, 100} {
+	for _, racks := range []int{50, 100, 1024} {
 		b.Run(fmt.Sprintf("racks=%d", racks), func(b *testing.B) {
 			top := graph.FatTreeRacks(racks)
 			for i := 0; i < b.N; i++ {
@@ -556,4 +559,11 @@ func BenchmarkMetricConstruction(b *testing.B) {
 			}
 		})
 	}
+	b.Run("shared/racks=1024", func(b *testing.B) {
+		graph.FatTreeMetric(1024)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			graph.FatTreeMetric(1024)
+		}
+	})
 }

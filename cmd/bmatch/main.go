@@ -39,7 +39,7 @@ func main() {
 		fatal(err)
 	}
 	top := graph.FatTreeRacks(tr.NumRacks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: *alpha}
+	model := core.CostModel{Metric: graph.FatTreeMetric(tr.NumRacks), Alpha: *alpha}
 	algorithm, err := buildAlg(*alg, tr, *b, model, *seed)
 	if err != nil {
 		fatal(err)

@@ -16,8 +16,7 @@ import (
 func main() {
 	// 1. Static network: a fat-tree with 32 racks. The metric is the
 	//    shortest-path distance between racks (2 within a pod, 4 across).
-	top := graph.FatTreeRacks(32)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
+	model := core.CostModel{Metric: graph.FatTreeMetric(32), Alpha: 30}
 
 	// 2. Workload: a Facebook-database-style trace — spatially skewed with
 	//    temporal locality, the regime where reconfiguration pays off.

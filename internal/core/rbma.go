@@ -209,9 +209,12 @@ var (
 // forwarding period), precomputed once per (metric, α, n) and shared across
 // algorithm instances — the table is immutable. The computation goes
 // through a small per-distance table so ceil is evaluated once per distinct
-// distance. The cache is keyed by metric identity; it is flushed past a
-// size bound so processes that keep constructing fresh metrics don't
-// accumulate dead tables.
+// distance. The cache is keyed by metric identity. Production models take
+// their metric from graph.FatTreeMetric, one pointer per rack count per
+// process, so every grid job, lease and engine session at one (rack count,
+// α) shares one entry. Callers that build their own metrics (tests, other
+// topologies) add an entry per metric; the cache is flushed past 128
+// entries so they cannot accumulate dead tables.
 func sharedKePair(model CostModel, n int, idx *trace.PairIndex) []int32 {
 	key := kePairCacheKey{metric: model.Metric, alpha: model.Alpha, n: n}
 	if t, ok := kePairCache.Load(key); ok {

@@ -332,6 +332,17 @@ func (r *rawConn) hello(session string) {
 	}
 }
 
+// TestCreateSessionBoundsRacks: sessions inherit the scenario rack limit,
+// so a hostile config is refused before any O(racks²) table is built.
+func TestCreateSessionBoundsRacks(t *testing.T) {
+	e := New(Options{})
+	for _, racks := range []int{4097, 1 << 20} {
+		if _, err := e.CreateSession(SessionConfig{Racks: racks, B: 2}); err == nil || !strings.Contains(err.Error(), "4096") {
+			t.Errorf("racks = %d: CreateSession error = %v, want the 4096 limit", racks, err)
+		}
+	}
+}
+
 func TestEngineProtocolErrors(t *testing.T) {
 	e := New(Options{})
 	addr := startIngest(t, e)

@@ -141,7 +141,7 @@ func newSession(id string, cfg SessionConfig) (*Session, error) {
 		id:      id,
 		cfg:     cfg,
 		created: time.Now(),
-		metric:  graph.FatTreeRacks(cfg.Racks).Metric(),
+		metric:  graph.FatTreeMetric(cfg.Racks),
 		idx:     trace.SharedPairIndex(cfg.Racks),
 		churn:   obs.NewRing[ChurnEvent](churnRing),
 	}

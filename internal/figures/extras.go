@@ -34,8 +34,7 @@ func extWorkload(scale float64, seed uint64) (sim.Config, core.CostModel, *trace
 	if requests < 1000 {
 		requests = 1000
 	}
-	top := graph.FatTreeRacks(racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: DefaultAlpha}
+	model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
 	p := trace.FacebookPreset(trace.WebService, racks, seed)
 	p.Requests = requests
 	tr, err := trace.FacebookStyle(p)
@@ -130,10 +129,10 @@ func extAlpha() Figure {
 			cfg.Bs = []int{6}
 			cfg.Reps = reps
 			n := tr.NumRacks
-			top := graph.FatTreeRacks(n)
+			metric := graph.FatTreeMetric(n)
 			var specs []sim.AlgSpec
 			for _, alpha := range []float64{5, 30, 120} {
-				model := core.CostModel{Metric: top.Metric(), Alpha: alpha}
+				model := core.CostModel{Metric: metric, Alpha: alpha}
 				alpha := alpha
 				specs = append(specs, sim.AlgSpec{
 					Name:   fmt.Sprintf("r-bma-a%g", alpha),
@@ -187,8 +186,7 @@ func extShift() Figure {
 			if requests < 2000 {
 				requests = 2000
 			}
-			top := graph.FatTreeRacks(racks)
-			model := core.CostModel{Metric: top.Metric(), Alpha: DefaultAlpha}
+			model := core.CostModel{Metric: graph.FatTreeMetric(racks), Alpha: DefaultAlpha}
 			tr, err := trace.PhaseShift(racks, requests, 8, seed)
 			if err != nil {
 				return sim.Config{}, nil, err

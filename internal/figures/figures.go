@@ -107,8 +107,7 @@ func (w workload) buildConfig(scale float64, reps int, seed uint64) (sim.Config,
 	if requests < 1000 {
 		requests = 1000
 	}
-	top := graph.FatTreeRacks(w.racks)
-	model := core.CostModel{Metric: top.Metric(), Alpha: DefaultAlpha}
+	model := core.CostModel{Metric: graph.FatTreeMetric(w.racks), Alpha: DefaultAlpha}
 	tr, err := w.make(w.racks, requests, seed)
 	if err != nil {
 		return sim.Config{}, core.CostModel{}, nil, err

@@ -797,5 +797,40 @@ drain:
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(s.opt.StoreRoot, queueFile), append(blob, '\n'), 0o644)
+	return writeFileAtomic(filepath.Join(s.opt.StoreRoot, queueFile), append(blob, '\n'))
+}
+
+// writeFileAtomic replaces path with data so that a crash at any point
+// leaves either the old file or the new one, never a torn mix: it writes
+// and fsyncs a temporary file beside path, renames it over path, then
+// fsyncs the directory so the rename itself is durable.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

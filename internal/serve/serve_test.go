@@ -386,6 +386,55 @@ func TestTornQueueFileIsIgnored(t *testing.T) {
 	}
 }
 
+// TestDrainReplacesQueueFileAtomically: a drain writes queue.json through
+// a temporary file renamed over the old copy, so an existing file is
+// replaced whole and no temporary file is left in the store root.
+func TestDrainReplacesQueueFileAtomically(t *testing.T) {
+	root := t.TempDir()
+	s, err := New(Options{StoreRoot: root, Workers: -1, CurvePoints: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	st, code := submit(t, ts, tinySpecs())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	// The stale copy's 0600 mode tells an in-place rewrite, which keeps
+	// it, from a rename of a fresh file, which brings 0644.
+	qPath := filepath.Join(root, queueFile)
+	if err := os.WriteFile(qPath, []byte(`["stale-order-from-an-earlier-drain"]`+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	blob, err := os.ReadFile(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	if err := json.Unmarshal(blob, &order); err != nil {
+		t.Fatalf("queue.json after drain: %v (%q)", err, blob)
+	}
+	if len(order) != 1 || order[0] != st.ID {
+		t.Fatalf("queue.json = %q, want [%q]", order, st.ID)
+	}
+	if fi, err := os.Stat(qPath); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("queue.json mode = %v (err %v), want 0644", fi.Mode().Perm(), err)
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), queueFile) && e.Name() != queueFile {
+			t.Errorf("drain left %s behind", e.Name())
+		}
+	}
+}
+
 // blockingStream is a trace.Stream whose Next blocks until release is
 // closed — it lets a test hold the service's worker inside a grid for as
 // long as it needs, with no timing assumptions. Requests are a
@@ -524,12 +573,15 @@ func TestSSEProgress(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: malformed and invalid spec bodies are 400s.
+// TestSubmitValidation: malformed and invalid spec bodies, including rack
+// counts past the spec limit, are 400s.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{StoreRoot: t.TempDir()})
 	for _, body := range []string{
 		"not json",
 		`[{"name":"x","family":"no-such-family","racks":8,"requests":100,"bs":[2],"reps":1}]`,
+		`[{"name":"x","family":"uniform","racks":4097,"requests":100,"bs":[2],"reps":1}]`,
+		`[{"name":"x","family":"uniform","racks":1048576,"requests":100,"bs":[2],"reps":1}]`,
 		`[]`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +202,31 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadScenarios(strings.NewReader(`[{"name":"x","bogus_field":1}]`)); err == nil {
 		t.Fatal("unknown JSON field accepted")
+	}
+}
+
+// TestValidateBoundsRacks: a rack count past maxRacks is rejected up
+// front, with an error naming the limit, and validating even the largest
+// allowed count builds no O(racks²) cost model.
+func TestValidateBoundsRacks(t *testing.T) {
+	spec := func(racks int) ScenarioSpec {
+		return ScenarioSpec{Name: "big", Family: "uniform", Racks: racks, Requests: 1000, Bs: []int{2}}
+	}
+	for _, racks := range []int{maxRacks + 1, 1 << 20} {
+		err := spec(racks).Validate()
+		if err == nil || !strings.Contains(err.Error(), "4096") {
+			t.Errorf("racks = %d: Validate() = %v, want an error naming the 4096 limit", racks, err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := spec(maxRacks).Validate(); err != nil {
+		t.Fatalf("racks = %d: %v", maxRacks, err)
+	}
+	runtime.ReadMemStats(&after)
+	// The metric alone would be 4·4096² bytes = 64 MiB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("Validate at %d racks allocated %d bytes; it must not build the cost model", maxRacks, grew)
 	}
 }
 

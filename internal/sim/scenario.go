@@ -71,8 +71,14 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
+// maxRacks bounds a spec's rack count. The cost model's metric and the
+// pair index each take O(racks²) memory (64 MiB apiece at 4096 racks),
+// so an unbounded count in a submitted spec could exhaust the process.
+const maxRacks = 4096
+
 // Validate reports whether the spec is runnable: known family and
-// algorithms, usable sweep, and buildable workload stream.
+// algorithms, usable sweep, a rack count within maxRacks, and buildable
+// workload stream. It builds no cost model.
 func (s ScenarioSpec) Validate() error {
 	s = s.withDefaults()
 	if s.Name == "" {
@@ -90,6 +96,9 @@ func (s ScenarioSpec) Validate() error {
 	if strings.ContainsAny(s.Name, ",\"\n") {
 		return fmt.Errorf("sim: scenario name %q must not contain commas, quotes or newlines (it names CSV rows)", s.Name)
 	}
+	if s.Racks > maxRacks {
+		return fmt.Errorf("sim: scenario %q: racks = %d exceeds the limit of %d", s.Name, s.Racks, maxRacks)
+	}
 	if s.Shards < 0 || s.Shards > s.Racks {
 		return fmt.Errorf("sim: scenario %q: shards = %d out of [0, racks = %d]", s.Name, s.Shards, s.Racks)
 	}
@@ -105,10 +114,12 @@ func (s ScenarioSpec) Validate() error {
 }
 
 // Model returns the scenario's cost model: a fat-tree over Racks with the
-// spec's alpha — the same construction as the paper's figures.
+// spec's alpha — the same construction as the paper's figures. The metric
+// is the process-wide shared graph.FatTreeMetric, so every call at one
+// rack count returns the same pointer and builds nothing after the first.
 func (s ScenarioSpec) Model() core.CostModel {
 	s = s.withDefaults()
-	return core.CostModel{Metric: graph.FatTreeRacks(s.Racks).Metric(), Alpha: s.Alpha}
+	return core.CostModel{Metric: graph.FatTreeMetric(s.Racks), Alpha: s.Alpha}
 }
 
 // NewStream builds the scenario's raw workload stream from its family.
