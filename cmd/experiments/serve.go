@@ -32,7 +32,6 @@ func serveMain(args []string) {
 		curvePts    = fs.Int("curve-points", 10, "cost-curve checkpoints per job (part of the job identity)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet shard-lease TTL: a worker missing heartbeats this long is presumed dead and its shard requeued")
 		shardSize   = fs.Int("shard-size", 16, "target grid jobs per leasable fleet shard")
-		leaseWAL    = fs.Bool("lease-wal", true, "journal fleet lease/queue state to a per-job WAL so a crashed (kill -9) coordinator restarts into live leases instead of a requeued grid")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight grids are interrupted (they stay resumable)")
 	)
 	fs.Usage = func() {
@@ -59,7 +58,7 @@ func serveMain(args []string) {
 			"On SIGINT/SIGTERM the service drains in-flight grids, then interrupts\n"+
 			"them at a chunk boundary — every completed grid job is already\n"+
 			"persisted, so a restart on the same -store-root resumes mid-grid.\n"+
-			"Fleet lease state is journaled per job (-lease-wal), so even a\n"+
+			"Fleet lease state is journaled per job (lease.wal), so even a\n"+
 			"kill -9'd coordinator restarts into its outstanding leases.\n\n")
 		fs.PrintDefaults()
 	}
@@ -80,7 +79,6 @@ func serveMain(args []string) {
 		CurvePoints: *curvePts,
 		LeaseTTL:    *leaseTTL,
 		ShardSize:   *shardSize,
-		NoLeaseWAL:  !*leaseWAL,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

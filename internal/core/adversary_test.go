@@ -1,11 +1,60 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"obm/internal/graph"
 	"obm/internal/trace"
 )
+
+// AdaptiveAdversary generates the request sequence that separates
+// deterministic from randomized online algorithms (the Θ(b) vs O(log b)
+// gap, Theorems 2 and 4): on a star with b+1 leaves it watches the
+// algorithm's matching and always requests a hub–leaf pair that is
+// currently *unmatched*. A deterministic algorithm can be tracked exactly
+// and misses every block; a randomized algorithm cannot (against an
+// oblivious adversary), but this adaptive variant still exhibits the
+// worst-case pressure on both.
+//
+// target is queried through its public Matched method only. blockLen
+// requests are issued per chosen pair (blockLen = α makes each block
+// exactly one rent-or-buy unit; blockLen = k_e forwards exactly once).
+// The generated requests are served on target as they are produced, and
+// also returned for replay against other algorithms.
+func AdaptiveAdversary(target Algorithm, nLeaves, blocks, blockLen int) (*trace.Trace, error) {
+	if nLeaves < 2 {
+		return nil, fmt.Errorf("core: adversary needs nLeaves >= 2")
+	}
+	if blocks < 1 || blockLen < 1 {
+		return nil, fmt.Errorf("core: adversary needs blocks, blockLen >= 1")
+	}
+	reqs := make([]trace.Request, 0, blocks*blockLen)
+	for blk := 0; blk < blocks; blk++ {
+		// Find an unmatched hub–leaf pair; the degree cap guarantees one
+		// exists whenever nLeaves > b.
+		leaf := -1
+		for cand := 1; cand <= nLeaves; cand++ {
+			if !target.Matched(0, cand) {
+				leaf = cand
+				break
+			}
+		}
+		if leaf == -1 {
+			// Fully matched (nLeaves <= b): rotate deterministically.
+			leaf = 1 + blk%nLeaves
+		}
+		for j := 0; j < blockLen; j++ {
+			reqs = append(reqs, trace.Request{Src: 0, Dst: int32(leaf)})
+			target.Serve(0, leaf)
+		}
+	}
+	return &trace.Trace{
+		Name:     fmt.Sprintf("adversary(star %d leaves)", nLeaves),
+		NumRacks: nLeaves + 1,
+		Reqs:     reqs,
+	}, nil
+}
 
 func TestAdaptiveAdversaryValidation(t *testing.T) {
 	top := graph.Star(4)
@@ -83,50 +132,5 @@ func TestAdversaryRotatesWhenFullyMatchable(t *testing.T) {
 	}
 	if tr.Len() != 120 {
 		t.Fatalf("trace length %d, want 120", tr.Len())
-	}
-}
-
-func TestAdversaryStreamMatchesAdaptiveAdversary(t *testing.T) {
-	// The streaming adversary must issue the exact request sequence of the
-	// materialized one when driven against an identically constructed
-	// deterministic target, and Reset must reproduce it.
-	top := graph.Star(6)
-	model := CostModel{Metric: top.Metric(), Alpha: 4}
-	mat, _ := NewBMA(top.NumRacks(), 2, model)
-	want, err := AdaptiveAdversary(mat, 6, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, _ := NewBMA(top.NumRacks(), 2, model)
-	s, err := NewAdversaryStream(target, 6, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain := func() []trace.Request {
-		var out []trace.Request
-		buf := make([]trace.Request, 7) // ragged batches across block bounds
-		for {
-			n := s.Next(buf)
-			if n == 0 {
-				return out
-			}
-			out = append(out, buf[:n]...)
-		}
-	}
-	got := drain()
-	if len(got) != want.Len() {
-		t.Fatalf("stream produced %d requests, want %d", len(got), want.Len())
-	}
-	for i := range got {
-		if got[i] != want.Reqs[i] {
-			t.Fatalf("request %d = %v, want %v", i, got[i], want.Reqs[i])
-		}
-	}
-	s.Reset()
-	again := drain()
-	for i := range again {
-		if again[i] != want.Reqs[i] {
-			t.Fatalf("after Reset, request %d = %v, want %v", i, again[i], want.Reqs[i])
-		}
 	}
 }

@@ -199,7 +199,7 @@ func TestRBMATotalCostWithinTheoryEnvelopeOnStar(t *testing.T) {
 		sum += totalCost(r, tr, model.Alpha)
 	}
 	ratio := sum / seeds / opt
-	gamma := model.Gamma()
+	gamma := 1 + float64(model.Metric.Max())/model.Alpha // γ = 1 + ℓmax/α (Corollary 3)
 	bound := 16 * gamma * (math.Log(float64(b)) + 1)
 	t.Logf("star ratio %.3f (loose envelope %.1f, OPT %v)", ratio, bound, opt)
 	if ratio > bound {

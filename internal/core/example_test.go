@@ -36,12 +36,3 @@ func ExampleNewOblivious() {
 	fmt.Printf("routing=%v adds=%d\n", st.RoutingCost, st.Adds)
 	// Output: routing=4 adds=0
 }
-
-// ExampleCostModel_Gamma computes the nonuniformity factor of the
-// competitive ratio.
-func ExampleCostModel_Gamma() {
-	top := graph.FatTreeRacks(16)
-	model := core.CostModel{Metric: top.Metric(), Alpha: 30}
-	fmt.Printf("gamma = %.3f\n", model.Gamma())
-	// Output: gamma = 1.133
-}

@@ -2,9 +2,9 @@
 // randomized online (b,a)-matching algorithm R-BMA (reduction to per-node
 // paging, §2), the deterministic online b-matching baseline BMA
 // (Bienkowski et al., PERFORMANCE 2020), the oblivious baseline (static
-// network only), the offline static maximum-weight b-matching SO-BMA, and a
-// clairvoyant R-BMA variant (Belady caches) exploring the paper's
-// future-work direction of prediction-augmented algorithms.
+// network only), the offline static maximum-weight b-matching SO-BMA, the
+// greedy-no-evict and rotor baselines, and the multi-plane Sharded
+// composition.
 //
 // Cost model (paper §1.1): serving request e costs 1 if e is a matching
 // edge, else ℓ_e (the static-network distance); every edge added to or
@@ -34,12 +34,6 @@ func (c CostModel) Validate() error {
 		return fmt.Errorf("core: CostModel alpha = %v, need >= 1", c.Alpha)
 	}
 	return nil
-}
-
-// Gamma returns γ = 1 + ℓmax/α, the nonuniformity factor in R-BMA's
-// competitive ratio (Corollary 3).
-func (c CostModel) Gamma() float64 {
-	return 1 + float64(c.Metric.Max())/c.Alpha
 }
 
 // RouteCost returns the cost of serving pair k given its matching status.

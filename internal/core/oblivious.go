@@ -147,16 +147,5 @@ func (s *Static) Matched(u, v int) bool {
 // MatchingSize implements Algorithm.
 func (s *Static) MatchingSize() int { return s.size }
 
-// Edges returns the static matching's edges in ascending pair order.
-func (s *Static) Edges() []trace.PairKey {
-	out := make([]trace.PairKey, 0, s.size)
-	for id := 0; id < s.idx.NumPairs(); id++ {
-		if s.has(trace.PairID(id)) {
-			out = append(out, s.idx.Key(trace.PairID(id)))
-		}
-	}
-	return out
-}
-
 // Reset implements Algorithm. The matching is static, so nothing changes.
 func (s *Static) Reset() {}

@@ -31,8 +31,7 @@ import (
 // shards by node row: pair {u, v} (u < v) is owned by shard u mod shards.
 // The zero value is not valid; use NewPartition.
 type Partition struct {
-	n, shards int
-	idx       *trace.PairIndex
+	shards int
 }
 
 // NewPartition builds a node-row partition of the n-rack pair universe into
@@ -44,14 +43,8 @@ func NewPartition(n, shards int) (Partition, error) {
 	if shards < 1 || shards > n {
 		return Partition{}, fmt.Errorf("core: NewPartition requires 1 <= shards <= %d, got %d", n, shards)
 	}
-	return Partition{n: n, shards: shards, idx: trace.SharedPairIndex(n)}, nil
+	return Partition{shards: shards}, nil
 }
-
-// N returns the rack-universe size.
-func (p Partition) N() int { return p.n }
-
-// Shards returns the shard count.
-func (p Partition) Shards() int { return p.shards }
 
 // OfRow returns the shard owning node row u.
 func (p Partition) OfRow(u int) int { return u % p.shards }
@@ -59,12 +52,6 @@ func (p Partition) OfRow(u int) int { return u % p.shards }
 // OfReq returns the shard owning a compiled request's pair. Compiled
 // requests carry U < V, so ownership is one modulo.
 func (p Partition) OfReq(req trace.CompiledReq) int { return int(req.U) % p.shards }
-
-// OfPair returns the shard owning pair id.
-func (p Partition) OfPair(id trace.PairID) int {
-	u, _ := p.idx.Endpoints(id)
-	return u % p.shards
-}
 
 // ShardSeed derives the algorithm seed of one shard from the run's base
 // seed. Shard 0 keeps the base seed, so a single-shard run is seeded (and

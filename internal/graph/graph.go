@@ -1,18 +1,15 @@
 // Package graph provides the static-network substrate of the reproduction:
-// an undirected graph type, shortest-path computation, and generators for
-// the datacenter topologies used in the paper's evaluation (fat-tree) plus
-// several others (star, leaf-spine, ring, torus, hypercube, random regular).
+// an undirected graph type, the rack-to-rack shortest-path metric, and
+// generators for the fat-tree of the paper's evaluation and the star of
+// its lower-bound construction.
 //
 // In the paper's model the static network G = (V, F) determines the routing
 // cost ℓ_e of serving a request over the fixed infrastructure: the length of
-// a shortest path between the endpoints. The DistanceMatrix produced here is
+// a shortest path between the endpoints. The Metric produced here is
 // exactly that ℓ lookup.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is a simple undirected graph on nodes 0..N-1. Parallel edges and
 // self-loops are rejected. The zero value is an empty graph with no nodes;
@@ -87,25 +84,6 @@ func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
-
-// Edges returns all edges as ordered pairs (u < v), sorted lexicographically.
-func (g *Graph) Edges() [][2]int {
-	es := make([][2]int, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				es = append(es, [2]int{u, v})
-			}
-		}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-	return es
-}
 
 // Connected reports whether the graph is connected (true for n <= 1).
 func (g *Graph) Connected() bool {

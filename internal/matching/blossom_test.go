@@ -134,7 +134,7 @@ func TestMWMKnownTricky(t *testing.T) {
 			mate := MaxWeightMatching(tc.n, tc.edges, false)
 			checkMateConsistent(t, mate)
 			got := mateWeight(tc.n, tc.edges, mate)
-			want := BruteForceMWM(tc.n, tc.edges)
+			want := bruteForce(tc.n, tc.edges, 1)
 			if got != want {
 				t.Fatalf("weight = %v, brute force = %v (mate %v)", got, want, mate)
 			}
@@ -176,7 +176,7 @@ func TestMWMSBlossomRelabelTricky(t *testing.T) {
 		mate := MaxWeightMatching(n, edges, false)
 		checkMateConsistent(t, mate)
 		got := mateWeight(n, edges, mate)
-		want := BruteForceMWM(n, edges)
+		want := bruteForce(n, edges, 1)
 		if got != want {
 			t.Fatalf("case %d: weight %v, brute force %v", i, got, want)
 		}
@@ -201,7 +201,7 @@ func TestMWMRandomVsBruteForce(t *testing.T) {
 		mate := MaxWeightMatching(n, edges, false)
 		checkMateConsistent(t, mate)
 		got := mateWeight(n, edges, mate)
-		want := BruteForceMWM(n, edges)
+		want := bruteForce(n, edges, 1)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d (n=%d, m=%d): blossom %v != brute force %v\nedges: %v",
 				trial, n, len(edges), got, want, edges)
@@ -271,7 +271,7 @@ func TestMWMLargerRandomSanity(t *testing.T) {
 		mate := MaxWeightMatching(n, edges, false)
 		checkMateConsistent(t, mate)
 		blossomW := mateWeight(n, edges, mate)
-		greedy := GreedyBMatching(n, edges, 1)
+		greedy := greedyBMatching(n, edges, 1)
 		var greedyW float64
 		wmap := map[[2]int]float64{}
 		for _, e := range edges {

@@ -66,9 +66,6 @@ func (m *BMatching) pairBit(u, v int) int {
 	return u*(2*m.n-u-1)/2 + (v - u - 1)
 }
 
-// N returns the node count.
-func (m *BMatching) N() int { return m.n }
-
 // B returns the degree cap.
 func (m *BMatching) B() int { return m.b }
 
@@ -154,29 +151,11 @@ func (m *BMatching) removeIncident(w int, k trace.PairKey) {
 	panic(fmt.Sprintf("matching: edge %v missing from node %d incidence", k, w))
 }
 
-// Incident returns the matching edges incident to node u, in unspecified
-// order. The result is a fresh slice; use IncidentView or ForEachIncident
-// on allocation-sensitive paths.
-func (m *BMatching) Incident(u int) []trace.PairKey {
-	return append([]trace.PairKey(nil), m.IncidentView(u)...)
-}
-
 // IncidentView returns the matching edges incident to node u as a view into
 // the matching's backing array, in unspecified order. The view is read-only
 // and valid only until the next Add or Remove.
 func (m *BMatching) IncidentView(u int) []trace.PairKey {
 	return m.inc[u*m.b : u*m.b+int(m.deg[u])]
-}
-
-// ForEachIncident calls fn for every matching edge incident to node u,
-// stopping early if fn returns false. Allocation-free variant of Incident
-// for per-request hot paths.
-func (m *BMatching) ForEachIncident(u int, fn func(trace.PairKey) bool) {
-	for _, k := range m.IncidentView(u) {
-		if !fn(k) {
-			return
-		}
-	}
 }
 
 // Edges returns all matching edges in unspecified order.

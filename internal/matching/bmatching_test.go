@@ -51,7 +51,7 @@ func TestBMatchingIncident(t *testing.T) {
 	m := NewBMatching(5, 2)
 	m.Add(trace.MakePairKey(0, 1))
 	m.Add(trace.MakePairKey(0, 2))
-	inc := m.Incident(0)
+	inc := m.IncidentView(0)
 	if len(inc) != 2 {
 		t.Fatalf("incident = %v", inc)
 	}
@@ -98,7 +98,7 @@ func TestGreedyBMatchingRespectsDegree(t *testing.T) {
 		}
 	}
 	for _, b := range []int{1, 2, 5} {
-		pairs := GreedyBMatching(n, edges, b)
+		pairs := greedyBMatching(n, edges, b)
 		deg := make([]int, n)
 		for _, k := range pairs {
 			u, v := k.Endpoints()
@@ -131,12 +131,12 @@ func TestGreedyIsHalfApprox(t *testing.T) {
 			edges = edges[:20]
 		}
 		b := 1 + r.Intn(2)
-		opt := BruteForceBMatching(n, edges, b)
+		opt := bruteForce(n, edges, b)
 		wmap := map[trace.PairKey]float64{}
 		for _, e := range edges {
 			wmap[trace.MakePairKey(e.U, e.V)] = e.W
 		}
-		got := TotalWeight(GreedyBMatching(n, edges, b), wmap)
+		got := totalWeight(greedyBMatching(n, edges, b), wmap)
 		if got < opt/2 {
 			t.Fatalf("trial %d: greedy %v < half of optimum %v", trial, got, opt)
 		}
@@ -180,9 +180,9 @@ func TestIteratedMWMValidAndStrong(t *testing.T) {
 		for _, e := range edges {
 			wmap[trace.MakePairKey(e.U, e.V)] = e.W
 		}
-		got := TotalWeight(pairs, wmap)
-		opt := BruteForceBMatching(n, edges, b)
-		greedy := TotalWeight(GreedyBMatching(n, edges, b), wmap)
+		got := totalWeight(pairs, wmap)
+		opt := bruteForce(n, edges, b)
+		greedy := totalWeight(greedyBMatching(n, edges, b), wmap)
 		if got > opt+1e-9 {
 			t.Fatalf("trial %d: iterated MWM %v exceeds optimum %v", trial, got, opt)
 		}
@@ -212,8 +212,8 @@ func TestIteratedMWMExactForB1(t *testing.T) {
 		for _, e := range edges {
 			wmap[trace.MakePairKey(e.U, e.V)] = e.W
 		}
-		got := TotalWeight(IteratedMWM(n, edges, 1), wmap)
-		want := BruteForceMWM(n, edges)
+		got := totalWeight(IteratedMWM(n, edges, 1), wmap)
+		want := bruteForce(n, edges, 1)
 		if got != want {
 			t.Fatalf("trial %d: %v != %v", trial, got, want)
 		}
@@ -225,7 +225,7 @@ func TestBMatchingPanics(t *testing.T) {
 		func() { NewBMatching(1, 1) },
 		func() { NewBMatching(3, 0) },
 		func() { IteratedMWM(3, nil, 0) },
-		func() { GreedyBMatching(3, nil, 0) },
+		func() { greedyBMatching(3, nil, 0) },
 	} {
 		func() {
 			defer func() {

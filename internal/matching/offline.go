@@ -1,10 +1,6 @@
 package matching
 
-import (
-	"sort"
-
-	"obm/internal/trace"
-)
+import "obm/internal/trace"
 
 // IteratedMWM computes a maximum-weight b-matching heuristically by running
 // b rounds of (1-)maximum-weight matching and uniting the rounds, removing
@@ -57,90 +53,4 @@ func IteratedMWM(n int, edges []WeightedEdge, b int) []trace.PairKey {
 		remaining = next
 	}
 	return out
-}
-
-// GreedyBMatching computes a b-matching by scanning edges in order of
-// decreasing weight and taking every edge whose endpoints both have spare
-// capacity. A classic 1/2-approximation of maximum-weight b-matching;
-// used as a fast baseline and as a sanity lower bound for IteratedMWM.
-func GreedyBMatching(n int, edges []WeightedEdge, b int) []trace.PairKey {
-	if b < 1 {
-		panic("matching: GreedyBMatching requires b >= 1")
-	}
-	sorted := append([]WeightedEdge(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].W != sorted[j].W {
-			return sorted[i].W > sorted[j].W
-		}
-		// Deterministic tie-break.
-		if sorted[i].U != sorted[j].U {
-			return sorted[i].U < sorted[j].U
-		}
-		return sorted[i].V < sorted[j].V
-	})
-	deg := make([]int, n)
-	var out []trace.PairKey
-	for _, e := range sorted {
-		if e.W <= 0 {
-			break
-		}
-		if deg[e.U] < b && deg[e.V] < b {
-			deg[e.U]++
-			deg[e.V]++
-			out = append(out, trace.MakePairKey(e.U, e.V))
-		}
-	}
-	return out
-}
-
-// TotalWeight sums the weights of the selected pairs given a weight lookup.
-func TotalWeight(pairs []trace.PairKey, weight map[trace.PairKey]float64) float64 {
-	var s float64
-	for _, k := range pairs {
-		s += weight[k]
-	}
-	return s
-}
-
-// BruteForceMWM computes an exact maximum-weight matching by exhaustive
-// search over edge subsets. Exponential; for cross-validation on small
-// graphs only (len(edges) <= ~22).
-func BruteForceMWM(n int, edges []WeightedEdge) float64 {
-	return bruteForce(n, edges, 1)
-}
-
-// BruteForceBMatching computes the exact maximum-weight b-matching value by
-// exhaustive search. Exponential; tests only.
-func BruteForceBMatching(n int, edges []WeightedEdge, b int) float64 {
-	return bruteForce(n, edges, b)
-}
-
-func bruteForce(n int, edges []WeightedEdge, b int) float64 {
-	if len(edges) > 24 {
-		panic("matching: brute force limited to 24 edges")
-	}
-	deg := make([]int, n)
-	var best float64
-	var rec func(i int, cur float64)
-	rec = func(i int, cur float64) {
-		if cur > best {
-			best = cur
-		}
-		if i == len(edges) {
-			return
-		}
-		// Skip edge i.
-		rec(i+1, cur)
-		// Take edge i if feasible.
-		e := edges[i]
-		if deg[e.U] < b && deg[e.V] < b {
-			deg[e.U]++
-			deg[e.V]++
-			rec(i+1, cur+e.W)
-			deg[e.U]--
-			deg[e.V]--
-		}
-	}
-	rec(0, 0)
-	return best
 }

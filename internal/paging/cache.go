@@ -3,9 +3,9 @@
 // pairs, and the randomized marking algorithm gives the O(log(b/(b-a+1)))
 // competitive ratio (Fiat et al. 1991; Young 1991 for the (b,a) analysis).
 //
-// The package also provides the deterministic algorithms used as ablation
-// baselines (LRU, FIFO, CLOCK, LFU, random eviction, flush-when-full) and
-// Belady's offline MIN for lower-bound comparisons.
+// The package also provides the eviction policies of the ext-policy
+// ablation (LRU, FIFO, random eviction) and Belady's offline MIN, the
+// offline optimum the tests measure competitive ratios against.
 //
 // Cost model: paging algorithms pay 1 per fetch (miss); evictions are free
 // and bypassing is not allowed. These are the conventions of the paging
@@ -47,19 +47,6 @@ type Cache interface {
 // Factory constructs a fresh cache of capacity k. The seed parameterizes
 // randomized algorithms; deterministic ones ignore it.
 type Factory func(k int, seed uint64) Cache
-
-// Cost replays a request sequence through a fresh cache from factory f and
-// returns the number of misses (the paging cost).
-func Cost(f Factory, k int, seed uint64, seq []uint64) int {
-	c := f(k, seed)
-	misses := 0
-	for _, it := range seq {
-		if _, _, miss := c.Access(it); miss {
-			misses++
-		}
-	}
-	return misses
-}
 
 func validateCap(k int) {
 	if k < 1 {

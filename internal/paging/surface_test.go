@@ -10,15 +10,11 @@ import (
 func TestCacheSurface(t *testing.T) {
 	seq := []uint64{5, 9, 5, 2, 7, 9, 2}
 	caches := map[string]Cache{
-		"lru":         NewLRU(3),
-		"fifo":        NewFIFO(3),
-		"clock":       NewCLOCK(3),
-		"lfu":         NewLFU(3),
-		"marking":     NewMarking(3, 1),
-		"marking-det": NewDeterministicMarking(3),
-		"random":      NewRandomEvict(3, 1),
-		"min":         NewMIN(3, seq),
-		"predictive":  NewPredictive(3, seq, 0.5, 1),
+		"lru":     NewLRU(3),
+		"fifo":    NewFIFO(3),
+		"marking": NewMarking(3, 1),
+		"random":  NewRandomEvict(3, 1),
+		"min":     NewMIN(3, seq),
 	}
 	for name, c := range caches {
 		t.Run(name, func(t *testing.T) {
@@ -58,22 +54,5 @@ func TestCacheSurface(t *testing.T) {
 				t.Fatal("cache unusable after Reset")
 			}
 		})
-	}
-}
-
-// TestFWFSurface covers the flush-when-full type separately (it has its own
-// multi-eviction Access signature).
-func TestFWFSurface(t *testing.T) {
-	c := NewFWF(2)
-	if c.Cap() != 2 || c.Len() != 0 {
-		t.Fatal("fresh FWF state wrong")
-	}
-	c.Access(1)
-	if evs, miss := c.Access(1); miss || evs != nil {
-		t.Fatal("hit mishandled")
-	}
-	c.Access(2)
-	if !c.Contains(1) || !c.Contains(2) {
-		t.Fatal("contents wrong")
 	}
 }

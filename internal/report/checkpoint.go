@@ -37,6 +37,8 @@ func (s *Store) SaveCheckpoint(j sim.GridJob, blob []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("report: checkpoint dir for %s: %w", j, err)
 	}
+	// Plain tmp+rename, no fsync: a checkpoint is a CRC-checked hint that
+	// sim rejects when torn, saved mid-job on the fleet's hot path.
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ck-*.tmp")
 	if err != nil {
 		return fmt.Errorf("report: checkpoint for %s: %w", j, err)

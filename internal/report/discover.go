@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,34 +91,4 @@ func Inspect(dir string) (StoreInfo, error) {
 		Recorded: s.Len(),
 		Missing:  len(missing),
 	}, nil
-}
-
-// FindByHash locates the store holding specHash under root, preferring
-// the canonical DirForHash location and falling back to a scan (stores
-// merged or created by hand can live under any name). ok is false when no
-// store under root holds the hash.
-func FindByHash(root, specHash string) (StoreInfo, bool, error) {
-	canonical := DirForHash(root, specHash)
-	if Exists(canonical) {
-		info, err := Inspect(canonical)
-		if err != nil {
-			return StoreInfo{}, false, err
-		}
-		if info.Manifest.SpecHash != specHash {
-			return StoreInfo{}, false, fmt.Errorf(
-				"report: %s holds spec hash %.12s, not the requested %.12s (hash-prefix collision or stale store)",
-				canonical, info.Manifest.SpecHash, specHash)
-		}
-		return info, true, nil
-	}
-	infos, err := Discover(root)
-	if err != nil {
-		return StoreInfo{}, false, err
-	}
-	for _, info := range infos {
-		if info.Manifest.SpecHash == specHash {
-			return info, true, nil
-		}
-	}
-	return StoreInfo{}, false, nil
 }

@@ -9,7 +9,7 @@ import (
 	"obm/internal/sim"
 )
 
-func TestDiscoverAndFindByHash(t *testing.T) {
+func TestDiscover(t *testing.T) {
 	root := t.TempDir()
 
 	// An empty (or missing) root discovers nothing.
@@ -56,33 +56,4 @@ func TestDiscoverAndFindByHash(t *testing.T) {
 		t.Fatalf("missing = %d, want %d", info.Missing, info.Manifest.TotalJobs-1)
 	}
 
-	found, ok, err := report.FindByHash(root, m.SpecHash)
-	if err != nil || !ok {
-		t.Fatalf("FindByHash: ok=%v err=%v", ok, err)
-	}
-	if found.Dir != dir {
-		t.Fatalf("FindByHash dir = %s, want %s", found.Dir, dir)
-	}
-	if _, ok, err := report.FindByHash(root, "deadbeefdeadbeefdeadbeefdeadbeef"); ok || err != nil {
-		t.Fatalf("FindByHash on unknown hash: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestFindByHashNonCanonicalDir: a store living under an arbitrary name
-// (e.g. hand-merged) is still found by scanning.
-func TestFindByHashNonCanonicalDir(t *testing.T) {
-	root := t.TempDir()
-	m := newManifest(t, smallSpecs(), 0, report.Shard{})
-	st, err := report.Create(filepath.Join(root, "my-merged-run"), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	found, ok, err := report.FindByHash(root, m.SpecHash)
-	if err != nil || !ok {
-		t.Fatalf("FindByHash: ok=%v err=%v", ok, err)
-	}
-	if filepath.Base(found.Dir) != "my-merged-run" {
-		t.Fatalf("found %s", found.Dir)
-	}
 }

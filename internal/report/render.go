@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"obm/internal/figures"
@@ -116,36 +115,16 @@ func (s *Store) Render() (csvPath, mdPath string, err error) {
 		return "", "", err
 	}
 	csvPath = filepath.Join(s.dir, "summary.csv")
-	if err := writeFileWith(csvPath, func(w io.Writer) error {
+	if err := WriteFileAtomic(csvPath, func(w io.Writer) error {
 		return WriteSummaryCSV(w, res)
 	}); err != nil {
 		return "", "", err
 	}
 	mdPath = filepath.Join(s.dir, "report.md")
-	if err := writeFileWith(mdPath, s.WriteReport); err != nil {
+	if err := WriteFileAtomic(mdPath, s.WriteReport); err != nil {
 		return "", "", err
 	}
 	return csvPath, mdPath, nil
-}
-
-// writeFileWith streams write into path atomically (temp file + rename,
-// like writeManifest): readers — including concurrent re-renders racing
-// over an HTTP artifact endpoint — only ever see a complete file.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // CellCurve is one aggregated cost curve: a (scenario, algorithm, b)

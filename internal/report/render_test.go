@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -98,5 +99,44 @@ func TestWriteSummaryCSVShape(t *testing.T) {
 	}
 	if strings.Contains(a.String(), "elapsed") {
 		t.Fatal("summary CSV must not carry wall-time columns")
+	}
+}
+
+// TestStoreArtifactModes: every file a finished, rendered run leaves in
+// its store is 0644 — the atomically written manifest and rendered
+// artifacts as much as the append-only job log — and no temp file of an
+// atomic write is left behind.
+func TestStoreArtifactModes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st := runShard(t, dir, smallSpecs(), 6, report.Shard{})
+	defer st.Close()
+	if _, _, err := st.Render(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("temp file %s left behind", e.Name())
+		}
+		if e.IsDir() {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := info.Mode().Perm(); perm != 0o644 {
+			t.Errorf("%s has mode %v, want 0644", e.Name(), perm)
+		}
+		seen[e.Name()] = true
+	}
+	for _, name := range []string{"manifest.json", "jobs.jsonl", "summary.csv", "report.md"} {
+		if !seen[name] {
+			t.Errorf("%s missing from the store", name)
+		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -149,39 +150,23 @@ func (m *Manifest) ownsJob(i int) bool {
 	return m.Shard.IsFull() || i%m.Shard.Count == m.Shard.Index
 }
 
-// ReadManifest loads dir's manifest without opening the store (no log
-// replay) — enough for lease planning and identity checks.
-func ReadManifest(dir string) (Manifest, error) {
-	return readManifest(dir)
-}
-
 // Exists reports whether dir already holds a run store (a manifest).
 func Exists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestFile))
 	return err == nil
 }
 
-// writeManifest writes m atomically (temp file + rename), so a crash
-// never leaves a half-written manifest.
+// writeManifest writes m atomically, so a crash never leaves a
+// half-written manifest.
 func writeManifest(dir string, m Manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("report: encoding manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, manifestFile+".tmp*")
-	if err != nil {
+	return WriteFileAtomic(filepath.Join(dir, manifestFile), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
 		return err
-	}
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, manifestFile))
+	})
 }
 
 // readManifest loads and sanity-checks dir's manifest.

@@ -178,9 +178,6 @@ func (s *Store) record(j sim.GridJob, o sim.JobOutcome) {
 	s.order = append(s.order, j)
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Manifest returns the store's manifest.
 func (s *Store) Manifest() Manifest { return s.manifest }
 

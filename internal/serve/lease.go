@@ -170,14 +170,12 @@ func (s *Server) initDist(j *job) error {
 	if j.dist == nil { // a concurrent lease may have won the race
 		j.dist = &distJob{shards: shards, recorded: recorded}
 		j.done = recorded
-		if !s.opt.NoLeaseWAL {
-			if lg, werr := wal.Create(filepath.Join(j.dir, leaseWALFile)); werr != nil {
-				s.opt.Logf("serve: job %.12s: lease WAL disabled: %v", j.id, werr)
-			} else {
-				j.wal = lg
-				s.walAppend(j, walRecInit(len(shards), recorded))
-				journaled = j.wal != nil
-			}
+		if lg, werr := wal.Create(filepath.Join(j.dir, leaseWALFile)); werr != nil {
+			s.opt.Logf("serve: job %.12s: lease WAL disabled: %v", j.id, werr)
+		} else {
+			j.wal = lg
+			s.walAppend(j, walRecInit(len(shards), recorded))
+			journaled = j.wal != nil
 		}
 	}
 	j.mu.Unlock()

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"obm/internal/obs"
-	"obm/internal/sim"
-)
+import "obm/internal/obs"
 
 // serverMetrics are the coordinator-wide obm_serve_* series. Updates are
 // single atomic adds at the lifecycle points they name; queue depth and
@@ -25,6 +22,8 @@ type serverMetrics struct {
 	walReplayed        *obs.Counter // lease-WAL records replayed at recovery
 	walRecoveredLeases *obs.Counter // live leases re-armed from a replayed WAL
 	walDiscarded       *obs.Counter // lease WALs discarded (corrupt or stale)
+
+	queueFileDiscarded *obs.Counter // unparsable queue.json files dropped at recovery
 }
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
@@ -44,6 +43,8 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		walReplayed:        r.Counter("obm_serve_wal_replayed_records_total", "Lease-WAL records replayed during crash recovery."),
 		walRecoveredLeases: r.Counter("obm_serve_wal_recovered_leases_total", "Live shard leases re-armed from a replayed WAL."),
 		walDiscarded:       r.Counter("obm_serve_wal_discarded_total", "Lease WALs discarded at recovery (corrupt, stale, or mismatched)."),
+
+		queueFileDiscarded: r.Counter("obm_serve_queue_file_discarded_total", "Unparsable queue.json files dropped at recovery (jobs re-enqueued in directory order)."),
 	}
 }
 
@@ -65,11 +66,3 @@ func (s *Server) collect(x *obs.Exposition) {
 			obs.Label{Key: "state", Value: string(st)})
 	}
 }
-
-// Registry returns the server's metrics registry (the one serving
-// GET /metrics).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// GridMetrics returns the obm_grid_* instruments wired into locally
-// executed grids, for callers embedding the server.
-func (s *Server) GridMetrics() *sim.Metrics { return s.sim }

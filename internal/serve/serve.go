@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -86,11 +87,6 @@ type Options struct {
 	// a job's grid is partitioned into ceil(total/ShardSize) modulo
 	// shards (default 16).
 	ShardSize int
-	// NoLeaseWAL disables the per-job lease WAL. A coordinator crash then
-	// loses lease bookkeeping (every outstanding lease is stranded until
-	// the fleet re-claims the job) but never loses results — the store is
-	// the durable truth either way. For debugging and comparison only.
-	NoLeaseWAL bool
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
 	// Registry, when non-nil, is where the server registers its
@@ -167,7 +163,7 @@ type job struct {
 	finishedAt time.Time
 	cancel     context.CancelFunc // set while running locally
 	dist       *distJob           // lease state, created on the first fleet lease
-	wal        *wal.Log           // lease-state journal; nil until the first fleet lease, after an append failure, or with NoLeaseWAL
+	wal        *wal.Log           // lease-state journal; nil until the first fleet lease, and after an append failure
 	hub        *hub
 
 	// absorbMu serializes shard-log absorption into the job's store
@@ -314,6 +310,7 @@ func (s *Server) recover() []*job {
 			// queue.json is only an ordering hint (a crash can tear it);
 			// the stores are the truth, so fall back to directory order.
 			s.opt.Logf("serve: ignoring unreadable %s, re-enqueueing in directory order: %v", qPath, err)
+			s.met.queueFileDiscarded.Inc()
 			order = nil
 		}
 		os.Remove(qPath) // consumed; from here the stores are the truth
@@ -797,40 +794,8 @@ drain:
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(s.opt.StoreRoot, queueFile), append(blob, '\n'))
-}
-
-// writeFileAtomic replaces path with data so that a crash at any point
-// leaves either the old file or the new one, never a torn mix: it writes
-// and fsyncs a temporary file beside path, renames it over path, then
-// fsyncs the directory so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return report.WriteFileAtomic(filepath.Join(s.opt.StoreRoot, queueFile), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
 		return err
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }

@@ -303,9 +303,9 @@ func TestKillMidGridAndResume(t *testing.T) {
 	}
 	ts1.Close()
 
-	info, ok, err := report.FindByHash(root, st.ID)
-	if err != nil || !ok {
-		t.Fatalf("store not found after kill: ok=%v err=%v", ok, err)
+	info, err := report.Inspect(report.DirForHash(root, st.ID))
+	if err != nil {
+		t.Fatalf("store not found after kill: %v", err)
 	}
 	if info.Recorded == 0 {
 		t.Fatal("no jobs persisted before the kill")
@@ -366,9 +366,12 @@ func TestTornQueueFileIsIgnored(t *testing.T) {
 		defer mu.Unlock()
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}
-	_, ts := newTestServer(t, Options{StoreRoot: root, GridWorkers: 1, CurvePoints: 4, Logf: logf})
+	s, ts := newTestServer(t, Options{StoreRoot: root, GridWorkers: 1, CurvePoints: 4, Logf: logf})
 	if _, err := os.Stat(qPath); !os.IsNotExist(err) {
 		t.Fatalf("torn queue.json not removed: %v", err)
+	}
+	if n := s.met.queueFileDiscarded.Value(); n != 1 {
+		t.Fatalf("obm_serve_queue_file_discarded_total = %d, want 1", n)
 	}
 	mu.Lock()
 	logged := strings.Contains(strings.Join(logs, "\n"), queueFile)

@@ -413,9 +413,6 @@ func (s *Server) crashAt(p crashPoint) {
 // safe: job outcomes live in the store, and the fleet re-claims on its
 // next lease.
 func (s *Server) recoverDist(j *job, now time.Time) bool {
-	if s.opt.NoLeaseWAL {
-		return false
-	}
 	path := filepath.Join(j.dir, leaseWALFile)
 	if _, err := os.Stat(path); err != nil {
 		return false

@@ -432,34 +432,3 @@ func TestSSESubscribersReconnectAcrossRestart(t *testing.T) {
 		t.Fatal("reconnected subscriber received no event")
 	}
 }
-
-// TestNoLeaseWALOptionDisablesJournal: with the WAL off, fleet runs work
-// exactly as before PR 10 — no journal file, and a restart falls back to
-// plain re-enqueue recovery.
-func TestNoLeaseWALOptionDisablesJournal(t *testing.T) {
-	root := t.TempDir()
-	s, err := New(Options{
-		StoreRoot: root, Workers: -1, NoLeaseWAL: true,
-		ShardSize: faultShardSize, CurvePoints: faultCurvePoints, LeaseTTL: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	defer func() { s.Shutdown(ctx) }()
-	st, err := s.Submit(faultSpecs("uniform"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, _ := s.lookup(st.ID)
-	if _, err := s.lease(j, "w0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(j.dir, leaseWALFile)); !os.IsNotExist(err) {
-		t.Fatalf("journal created despite NoLeaseWAL: %v", err)
-	}
-	if n := s.met.walAppends.Value(); n != 0 {
-		t.Fatalf("walAppends = %d with the journal disabled", n)
-	}
-}

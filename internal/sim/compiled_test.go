@@ -10,7 +10,7 @@ import (
 
 // Compiled replay must produce exactly the curves Run produces, both for
 // algorithms with a ServeCompiled fast path (R-BMA, BMA) and for fallback
-// algorithms replayed through Serve (Batch).
+// algorithms replayed through Serve (GreedyNoEvict).
 func TestRunCompiledMatchesRun(t *testing.T) {
 	const n = 20
 	top := graph.FatTreeRacks(n)
@@ -31,10 +31,10 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 		"r-bma-eager": func() (core.Algorithm, error) {
 			return core.NewRBMA(n, 4, model, 5, core.WithEagerRemoval())
 		},
-		"bma":       func() (core.Algorithm, error) { return core.NewBMA(n, 4, model) },
-		"oblivious": func() (core.Algorithm, error) { return core.NewOblivious(model) },
-		"so-bma":    func() (core.Algorithm, error) { return core.NewStaticFromTrace(tr, 4, model) },
-		"batch":     func() (core.Algorithm, error) { return core.NewBatch(n, 4, model, 1000, 0.5) },
+		"bma":            func() (core.Algorithm, error) { return core.NewBMA(n, 4, model) },
+		"oblivious":      func() (core.Algorithm, error) { return core.NewOblivious(model) },
+		"so-bma":         func() (core.Algorithm, error) { return core.NewStaticFromTrace(tr, 4, model) },
+		"greedy-noevict": func() (core.Algorithm, error) { return core.NewGreedyNoEvict(n, 4, model) },
 	}
 	for name, mk := range algs {
 		t.Run(name, func(t *testing.T) {
@@ -54,7 +54,7 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 			if err := replayCompiled(&compiled, a2, ct, model.Alpha, checkpoints); err != nil {
 				t.Fatal(err)
 			}
-			if _, fast := core.Algorithm(a2).(core.CompiledServer); !fast && name != "batch" {
+			if _, fast := core.Algorithm(a2).(core.CompiledServer); !fast && name != "greedy-noevict" {
 				t.Errorf("%s lost its ServeCompiled fast path", name)
 			}
 			if plain.Adds != compiled.Adds || plain.Removals != compiled.Removals ||

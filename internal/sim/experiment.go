@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -172,38 +171,6 @@ func runAveraged(f AlgFactory, reps int, res *RunResult,
 	}
 	avg.Elapsed = totalElapsed / time.Duration(reps)
 	return avg, nil
-}
-
-// WriteJSON emits the experiment result as JSON (one object with the
-// experiment name and the list of curves).
-func (r *Result) WriteJSON(w io.Writer) error {
-	type jsonCurve struct {
-		Alg       string    `json:"alg"`
-		B         int       `json:"b"`
-		X         []int     `json:"requests"`
-		Routing   []float64 `json:"routing_cost"`
-		Reconfig  []float64 `json:"reconfig_cost"`
-		ElapsedMS float64   `json:"elapsed_ms"`
-		Reps      int       `json:"reps"`
-	}
-	out := struct {
-		Name   string      `json:"experiment"`
-		Curves []jsonCurve `json:"curves"`
-	}{Name: r.Name}
-	for _, c := range r.Curves {
-		out.Curves = append(out.Curves, jsonCurve{
-			Alg:       c.Alg,
-			B:         c.B,
-			X:         c.Avg.X,
-			Routing:   c.Avg.Routing,
-			Reconfig:  c.Avg.Reconfig,
-			ElapsedMS: float64(c.Avg.Elapsed) / float64(time.Millisecond),
-			Reps:      c.Avg.Reps,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // WriteCSV emits the experiment result as tidy CSV:

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -153,42 +152,6 @@ func TestRunExperimentAndCSV(t *testing.T) {
 	}
 	if rows := res.SummaryRows(); len(rows) != 3 {
 		t.Fatalf("summary rows = %d", len(rows))
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	model, tr := testSetup(10)
-	cfg := Config{
-		Name: "json", Trace: tr, Model: model,
-		Bs: []int{2}, Reps: 1, Checkpoints: Checkpoints(tr.Len(), 3),
-	}
-	specs := []AlgSpec{{
-		Name: "r-bma", FixedB: -1,
-		New: func(b int, rep uint64) (core.Algorithm, error) {
-			return core.NewRBMA(10, b, model, rep)
-		},
-	}}
-	res, err := RunExperiment(cfg, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Name   string `json:"experiment"`
-		Curves []struct {
-			Alg     string    `json:"alg"`
-			B       int       `json:"b"`
-			Routing []float64 `json:"routing_cost"`
-		} `json:"curves"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Name != "json" || len(parsed.Curves) != 1 || len(parsed.Curves[0].Routing) != 3 {
-		t.Fatalf("parsed = %+v", parsed)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestZipfSkew(t *testing.T) {
 	if counts[0] <= counts[50] {
 		t.Fatal("Zipf must favor low ranks")
 	}
-	want := ZipfWeights(100, 1.2)
+	want := zipfWeights(100, 1.2)
 	got0 := counts[0] / draws
 	if math.Abs(got0-want[0]) > 0.01 {
 		t.Fatalf("rank-0 frequency %v, want %v", got0, want[0])
@@ -125,7 +125,7 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 }
 
 func TestZipfWeightsNormalized(t *testing.T) {
-	w := ZipfWeights(57, 0.9)
+	w := zipfWeights(57, 0.9)
 	var sum float64
 	for _, x := range w {
 		sum += x
@@ -154,4 +154,19 @@ func TestZipfPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// zipfWeights returns the normalized probability vector of a Zipf
+// distribution over n ranks with exponent s.
+func zipfWeights(n int, s float64) []float64 {
+	w := make([]float64, n)
+	var sum float64
+	for i := range w {
+		w[i] = math.Pow(float64(i+1), -s)
+		sum += w[i]
+	}
+	for i := range w {
+		w[i] /= sum
+	}
+	return w
 }

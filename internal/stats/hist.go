@@ -107,24 +107,5 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Merge folds o's counts into h. Histograms recorded by independent
-// workers merge losslessly (counters add).
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }

@@ -61,34 +61,6 @@ func TestHistogramQuantileError(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, both Histogram
-	for v := uint64(1); v <= 1000; v++ {
-		a.Record(v)
-		both.Record(v)
-	}
-	for v := uint64(1000000); v <= 1001000; v++ {
-		b.Record(v)
-		both.Record(v)
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() || a.Min() != both.Min() || a.Max() != both.Max() {
-		t.Fatalf("merge mismatch: %d/%d/%d vs %d/%d/%d",
-			a.Count(), a.Min(), a.Max(), both.Count(), both.Min(), both.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.999} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Errorf("q=%g: merged %d != direct %d", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	// Merging into an empty histogram preserves min.
-	var empty Histogram
-	empty.Merge(&both)
-	if empty.Min() != both.Min() {
-		t.Errorf("empty-merge min = %d, want %d", empty.Min(), both.Min())
-	}
-}
-
 func TestHistogramRecordAllocFree(t *testing.T) {
 	var h Histogram
 	v := uint64(12345)

@@ -148,10 +148,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
-// Split derives an independent generator from the current one. Useful for
-// giving each of several components its own reproducible stream.
-func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
-
 // State returns the generator's internal state, for snapshotting. A
 // generator restored with SetState continues the exact same stream.
 func (r *Rand) State() [4]uint64 { return r.s }

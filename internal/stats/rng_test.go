@@ -132,21 +132,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRand(12)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams correlated: %d/100 equal", same)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRand(13)
 	const n = 100000

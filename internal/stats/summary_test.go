@@ -27,26 +27,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !approx(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestGiniUniform(t *testing.T) {
 	xs := []float64{2, 2, 2, 2}
 	if g := Gini(xs); !approx(g, 0, 1e-12) {
@@ -64,8 +44,8 @@ func TestGiniSkewed(t *testing.T) {
 }
 
 func TestGiniMonotoneInSkew(t *testing.T) {
-	flat := Gini(ZipfWeights(50, 0.2))
-	steep := Gini(ZipfWeights(50, 1.5))
+	flat := Gini(zipfWeights(50, 0.2))
+	steep := Gini(zipfWeights(50, 1.5))
 	if steep <= flat {
 		t.Fatalf("Gini should grow with skew: flat=%v steep=%v", flat, steep)
 	}

@@ -7,8 +7,6 @@ import "math"
 // (s = 0 degenerates to uniform). Sampling is O(1) via an alias table.
 type Zipf struct {
 	alias *Alias
-	s     float64
-	n     int
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s.
@@ -24,29 +22,8 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range w {
 		w[i] = math.Pow(float64(i+1), -s)
 	}
-	return &Zipf{alias: NewAlias(w), s: s, n: n}
+	return &Zipf{alias: NewAlias(w)}
 }
-
-// N returns the support size.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // Sample draws one rank in [0, n).
 func (z *Zipf) Sample(r *Rand) int { return z.alias.Sample(r) }
-
-// ZipfWeights returns the normalized probability vector of a Zipf
-// distribution over n ranks with exponent s.
-func ZipfWeights(n int, s float64) []float64 {
-	w := make([]float64, n)
-	var sum float64
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), -s)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
-}

@@ -87,6 +87,6 @@ func ExampleNewSource() {
 func ExampleMakePairKey() {
 	k := trace.MakePairKey(7, 3)
 	u, v := k.Endpoints()
-	fmt.Println(u, v, k.Other(3))
-	// Output: 3 7 7
+	fmt.Println(u, v)
+	// Output: 3 7
 }

@@ -73,19 +73,6 @@ func (k PairKey) Endpoints() (u, v int) {
 	return int(k >> 32), int(k & 0xffffffff)
 }
 
-// Other returns the endpoint of the pair different from w. It panics if w is
-// not an endpoint.
-func (k PairKey) Other(w int) int {
-	u, v := k.Endpoints()
-	switch w {
-	case u:
-		return v
-	case v:
-		return u
-	}
-	panic(fmt.Sprintf("trace: node %d not an endpoint of pair {%d,%d}", w, u, v))
-}
-
 // String renders the pair as "{u,v}".
 func (k PairKey) String() string {
 	u, v := k.Endpoints()

@@ -31,19 +31,6 @@ func TestMakePairKeyPanics(t *testing.T) {
 	}
 }
 
-func TestPairKeyOther(t *testing.T) {
-	k := MakePairKey(2, 9)
-	if k.Other(2) != 9 || k.Other(9) != 2 {
-		t.Fatal("Other wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other with non-endpoint should panic")
-		}
-	}()
-	k.Other(5)
-}
-
 func TestPairKeyInjective(t *testing.T) {
 	if err := quick.Check(func(a, b, c, d uint16) bool {
 		u1, v1 := int(a), int(b)

@@ -120,6 +120,7 @@ for what in engine serve worker; do
 	case $what in
 	engine) grep -q '^obm_engine_ingest_requests_total ' "$tmp/$what.metrics" ;;
 	serve) grep -q '^obm_serve_submissions_total ' "$tmp/$what.metrics" &&
+		grep -q '^obm_serve_queue_file_discarded_total ' "$tmp/$what.metrics" &&
 		grep -q '^obm_grid_requests_total ' "$tmp/$what.metrics" ;;
 	worker) grep -q '^obm_work_leases_total ' "$tmp/$what.metrics" &&
 		grep -q '^obm_grid_requests_total ' "$tmp/$what.metrics" ;;
